@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet obdcheck detlint lint serve serve-smoke test test-race short bench bench-big repro artifacts fuzz fuzz-smoke kill-matrix clean
+.PHONY: all build vet obdcheck lint serve serve-smoke test test-race short bench repro artifacts fuzz fuzz-smoke kill-matrix clean
 
 all: build test test-race
 
@@ -22,12 +22,6 @@ vet: obdcheck
 obdcheck:
 	$(GO) build -o bin/obdcheck ./tools/analyzers/obdcheck
 
-# Deprecated: detlint grew into obdcheck (PR 4). This alias remains for
-# one release; switch scripts to `make vet` / `make obdcheck`.
-detlint:
-	@echo "make detlint is deprecated: the analyzer is now obdcheck (building bin/obdcheck)" >&2
-	$(GO) build -o bin/obdcheck ./tools/analyzers/obdcheck
-
 # Static netlist analysis of the bench circuits (cmd/obdlint).
 lint:
 	$(GO) run ./cmd/obdlint -circuit fulladder -circuit c17 -circuit rca4 -circuit mux41
@@ -42,8 +36,11 @@ serve:
 serve-smoke:
 	./tools/serve_smoke.sh
 
+# The root module's tests, then the benchmark module (obdbench/, its own
+# go.mod) so an internal API change cannot silently break the benchmark.
 test:
 	$(GO) test ./...
+	cd obdbench && $(GO) vet . && $(GO) test .
 
 # The scheduler's determinism contract under the race detector.
 test-race:
@@ -55,12 +52,6 @@ short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Big-circuit grading perf trajectory: full-sweep vs levelized
-# event-driven grading on the committed c432-scale circuit at one worker,
-# recorded as BENCH_big.json (one snapshot per optimization PR).
-bench-big:
-	$(GO) run ./tools/benchbig -out BENCH_big.json
 
 # All 26 experiments with shape checks, paper-style text.
 repro:

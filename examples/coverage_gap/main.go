@@ -48,7 +48,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cov := gobd.GradeOBD(lc, obdFaults, tr.Tests)
+		cov, err := gobd.GradeOBDParallel(lc, obdFaults, tr.Tests)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("   transition test set (%d pairs): transition coverage %s, OBD coverage %s\n",
 			len(tr.Tests), tr.Coverage, cov)
 
@@ -61,7 +64,10 @@ func main() {
 		for i := 1; i < len(sa.Tests); i++ {
 			chained = append(chained, gobd.TwoPattern{V1: sa.Tests[i-1], V2: sa.Tests[i]})
 		}
-		saCov := gobd.GradeOBD(lc, obdFaults, chained)
+		saCov, err := gobd.GradeOBDParallel(lc, obdFaults, chained)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("   stuck-at set (%d patterns chained): OBD coverage %s\n", len(sa.Tests), saCov)
 
 		// The OBD-aware generator.

@@ -26,8 +26,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if ts.Coverage.Ratio() != 1 {
 		t.Fatalf("coverage %v", ts.Coverage)
 	}
-	if cov := gobd.GradeOBD(c, faults, ts.Tests); cov.Detected != 4 {
-		t.Fatalf("grade %v", cov)
+	if cov, err := gobd.GradeOBDParallel(c, faults, ts.Tests); err != nil || cov.Detected != 4 {
+		t.Fatalf("grade %v %v", cov, err)
 	}
 	cover, err := gobd.MinimalPairCover(c.Gates[0].Type, 2)
 	if err != nil || len(cover) != 3 {
@@ -62,8 +62,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov, err := acc.ModeCoverage(gobd.LaunchOnCaptureMode); err != nil || cov.Total == 0 {
-		t.Fatalf("mode coverage %v %v", cov, err)
+	accFaults, _ := gobd.OBDUniverse(acc.Core)
+	if res, err := gobd.GenerateLOCTests(acc, accFaults, nil); err != nil || res.Coverage.Total == 0 {
+		t.Fatalf("LOC generation %+v %v", res, err)
 	}
 
 	// Timing simulation + VCD.
@@ -88,12 +89,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("vcd broken")
 	}
 
-	// Diagnosis. BuildDictionary is the deprecated spelling of
-	// NewFaultDictionary; both must keep compiling and agree.
-	dict := gobd.BuildDictionary(c, faults, ts.Tests)
-	if dict2 := gobd.NewFaultDictionary(c, faults, ts.Tests); dict2 == nil {
-		t.Fatal("NewFaultDictionary returned nil")
-	}
+	// Diagnosis.
+	dict := gobd.NewFaultDictionary(c, faults, ts.Tests)
 	sig := gobd.SimulateResponse(c, faults[0], ts.Tests)
 	cands, dist, err := dict.Diagnose(sig)
 	if err != nil || dist != 0 || len(cands) == 0 {
@@ -117,11 +114,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("fingerprint not rename-invariant: %s vs %s", fp, fp2)
 	}
 
-	// Mission facade: NewMission is the deprecated spelling of
-	// NewMissionCampaign; both must keep compiling.
-	if gobd.NewMission == nil || gobd.NewMissionCampaign == nil {
-		t.Fatal("mission constructors missing")
-	}
+	// Mission facade.
 	camp, err := gobd.NewMissionCampaign(gobd.MissionConfig{
 		Circuit: c, Seed: 1, Chips: 2, Duration: 100, FaultRate: 0.5,
 	})

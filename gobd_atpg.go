@@ -50,15 +50,6 @@ var (
 	SetDefaultWorkers = atpg.SetDefaultWorkers
 	// AnalyzeExhaustive enumerates all input transitions of a circuit.
 	AnalyzeExhaustive = atpg.AnalyzeExhaustive
-
-	// GradeOBD fault-simulates a test set against an OBD fault list with
-	// the scalar reference engine.
-	//
-	// Deprecated: use GradeOBDParallel (bit-identical Coverage for any
-	// worker count, validated circuit, typed errors) or a Scheduler's
-	// GradeOBD/GradeOBDCtx methods. The scalar engine remains as the
-	// differential-testing oracle and keeps working here.
-	GradeOBD = atpg.GradeOBD
 )
 
 // Hardened scheduler layer: typed errors, panic confinement and

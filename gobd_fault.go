@@ -61,13 +61,6 @@ var (
 	NewFaultDictionary = diag.Build
 	// SimulateResponse computes one fault's response signature.
 	SimulateResponse = diag.SimulateResponse
-
-	// BuildDictionary simulates every fault against a test set.
-	//
-	// Deprecated: use NewFaultDictionary, the name every other facade
-	// constructor follows (New<Type>). BuildDictionary remains and is
-	// identical.
-	BuildDictionary = diag.Build
 )
 
 // BIST layer.

@@ -47,11 +47,4 @@ var (
 	AdversityOff   = mission.Off
 	AdversityLight = mission.Light
 	AdversityHeavy = mission.Heavy
-
-	// NewMission validates a config and precomputes the shared bench.
-	//
-	// Deprecated: use NewMissionCampaign, which names the type it
-	// constructs (MissionCampaign) like every other facade constructor.
-	// NewMission remains and is identical.
-	NewMission = mission.New
 )

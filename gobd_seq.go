@@ -25,11 +25,6 @@ type (
 	ScanResult = seq.Result
 	// ScanState is one present-state assignment of a scan chain.
 	ScanState = seq.State
-
-	// ScanMode is a two-pattern test-application style.
-	//
-	// Deprecated: use ScanStyle.
-	ScanMode = seq.Mode
 )
 
 // Scan application styles.
@@ -41,22 +36,6 @@ const (
 	// LOCStyle launches the second vector through the circuit's own
 	// next-state logic (broadside).
 	LOCStyle = seq.LOC
-)
-
-// Deprecated scan-mode names.
-const (
-	// EnhancedScanMode applies arbitrary vector pairs.
-	//
-	// Deprecated: use EnhancedScanStyle.
-	EnhancedScanMode = seq.EnhancedScan
-	// LaunchOnShiftMode launches by a one-bit chain shift.
-	//
-	// Deprecated: use LOSStyle.
-	LaunchOnShiftMode = seq.LaunchOnShift
-	// LaunchOnCaptureMode launches through the next-state logic.
-	//
-	// Deprecated: use LOCStyle.
-	LaunchOnCaptureMode = seq.LaunchOnCapture
 )
 
 // Sequential constructors and generators.

@@ -8,12 +8,11 @@ import (
 	"gobd/internal/logic"
 )
 
-// This file is the levelized event-driven grading engine — the scale
-// successor to the full-sweep SweepGrader. The observation is that one
-// OBD fault perturbs one net; everything outside the fault site's fanout
-// cone keeps its good-machine value, so re-evaluating the whole circuit
-// per fault (the sweep) wastes work proportional to circuit size. The
-// engine instead
+// This file is the levelized event-driven grading engine, the repo's one
+// bit-parallel OBD engine. The observation is that one OBD fault perturbs
+// one net; everything outside the fault site's fanout cone keeps its
+// good-machine value, so re-evaluating the whole circuit per fault wastes
+// work proportional to circuit size. The engine instead
 //
 //   - precomputes both good-machine frames once per 64-pair block over
 //     the circuit's dense-ID levelization index (logic.Index), storing
@@ -24,19 +23,21 @@ import (
 //     outside the cone are never touched;
 //   - widens packing to word-wide single-rail lanes when a block's
 //     patterns are complete: the known rail is constant-1 there, so the
-//     dual-rail evaluation collapses to one word per net (EvalBits
-//     instead of EvalBits3), halving both memory traffic and ALU work;
+//     dual-rail evaluation collapses to one word per net (Gate.EvalBits
+//     instead of Gate.EvalBits3), halving both memory traffic and ALU work;
 //   - pools the per-worker scratch (faulty words, dirty marks, level
 //     buckets) in a sync.Pool, so grading allocates nothing per fault.
 //
-// Every verdict is bit-identical to the SweepGrader and to the scalar
-// DetectsOBD; the property tests in event_test.go enforce this.
+// Two reference oracles check it: the scalar DetectsOBD, which the
+// property tests in event_test.go pin every lane verdict to, and the
+// RUP-checked SAT prover in internal/netcheck. Faults on gates outside
+// the circuit's index grade through DetectsOBD directly.
 
 // PairGrader grades OBD faults against a packed two-pattern test set with
 // the levelized event-driven engine. It is immutable after construction
 // and safe for concurrent use by the Scheduler's workers. Faults on gates
 // that are not part of the circuit (synthetic gates used by local
-// analyses) fall back to the full-sweep path.
+// analyses) are graded pair by pair with the scalar DetectsOBD oracle.
 type PairGrader struct {
 	c     *logic.Circuit
 	idx   *logic.Index
@@ -52,9 +53,6 @@ type PairGrader struct {
 	netsOK []bool
 
 	scratch sync.Pool
-
-	legacyOnce sync.Once
-	legacy     *SweepGrader
 }
 
 // eventBlock holds the good-machine frames of up to 64 vector pairs,
@@ -237,11 +235,16 @@ func (pg *PairGrader) Detects(f fault.OBD) bool {
 }
 
 // FirstDetecting returns the index of the first detecting pair, or -1.
-// Verdicts are bit-identical to the SweepGrader's.
+// Verdicts are bit-identical to a scalar DetectsOBD scan of the pairs.
 func (pg *PairGrader) FirstDetecting(f fault.OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
 	if gp < 0 {
-		return pg.legacyGrader().FirstDetecting(f)
+		for ti, tp := range pg.tests {
+			if DetectsOBD(pg.c, f, tp) {
+				return ti
+			}
+		}
+		return -1
 	}
 	sc := pg.scratch.Get().(*eventScratch)
 	defer pg.scratch.Put(sc)
@@ -258,29 +261,28 @@ func (pg *PairGrader) FirstDetecting(f fault.OBD) int {
 // CountDetecting returns how many pairs of the set detect the fault.
 func (pg *PairGrader) CountDetecting(f fault.OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
+	n := 0
 	if gp < 0 {
-		return pg.legacyGrader().CountDetecting(f)
+		for _, tp := range pg.tests {
+			if DetectsOBD(pg.c, f, tp) {
+				n++
+			}
+		}
+		return n
 	}
 	sc := pg.scratch.Get().(*eventScratch)
 	defer pg.scratch.Put(sc)
-	n := 0
 	for bi := range pg.blocks {
 		n += bits.OnesCount64(pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
 	}
 	return n
 }
 
-// legacyGrader lazily builds the sweep fallback used for faults on gates
-// outside the circuit.
-func (pg *PairGrader) legacyGrader() *SweepGrader {
-	pg.legacyOnce.Do(func() { pg.legacy = NewSweepGrader(pg.c, pg.tests) })
-	return pg.legacy
-}
-
 // detectMaskEvent grades one fault against one block, returning the
-// laneMask-clipped bitmask of detecting pairs. The excitation rule is the
-// same bit-parallel condition the sweep applies; the faulty frame is then
-// propagated event-driven from the site through its fanout cone only.
+// laneMask-clipped bitmask of detecting pairs. The excitation rule is
+// DetectsOBD's series-parallel condition evaluated over 64 lanes; the
+// faulty frame is then propagated event-driven from the site through its
+// fanout cone only.
 // The zero-allocation contract (DESIGN.md §11) is enforced statically by
 // the marker below and dynamically by TestDetectMaskEventZeroAlloc.
 //
@@ -397,8 +399,8 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f fault.OBD, gp int, sc *ev
 		sc.buckets[lvl] = bucket[:0]
 	}
 
-	// Only touched POs can differ from the good machine; the sweep's scan
-	// over all POs contributes zero everywhere else.
+	// Only touched POs can differ from the good machine; every other PO
+	// carries its good word and contributes zero.
 	detected := uint64(0)
 	if b.complete {
 		for _, id := range sc.touched {

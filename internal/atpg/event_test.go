@@ -28,16 +28,6 @@ func completeRandomTests(rng *rand.Rand, c *logic.Circuit, n int) []TwoPattern {
 	return out
 }
 
-// sweepMasks returns a fault's per-block detection masks from the
-// full-sweep reference grader, laneMask-clipped.
-func sweepMasks(sg *SweepGrader, f fault.OBD) []uint64 {
-	out := make([]uint64, 0, len(sg.blocks))
-	for _, b := range sg.blocks {
-		out = append(out, detectMaskWithEvals(sg.c, f, b.v2, b.g1v, b.g1k, b.g2v, b.g2k)&laneMask(b.n))
-	}
-	return out
-}
-
 // eventMasks returns a fault's per-block detection masks from the
 // event-driven engine (already clipped by detectMaskEvent).
 func eventMasks(pg *PairGrader, f fault.OBD) []uint64 {
@@ -54,10 +44,13 @@ func eventMasks(pg *PairGrader, f fault.OBD) []uint64 {
 	return out
 }
 
-// TestEventGraderBitIdenticalToSweep: over random circuits (primitive and
-// mixed gate sets) × random partial AND complete test sets, the event
-// engine's per-lane detection masks equal the sweep grader's for every
-// fault of the universe — not merely the summary verdicts.
+// TestEventGraderBitIdenticalToSweep: for every fault of the universe, over
+// random circuits (primitive and mixed gate sets) × random complete AND
+// partial test sets, the event engine's FirstDetecting/CountDetecting equal
+// what the same grader reports through its scalar sweep — the DetectsOBD
+// scan over every pair that grades faults on gates outside the index. A
+// copy of the faulty gate is foreign to the index (positions are keyed by
+// pointer) yet names the same nets, so it selects the sweep path.
 func TestEventGraderBitIdenticalToSweep(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -72,18 +65,18 @@ func TestEventGraderBitIdenticalToSweep(t *testing.T) {
 				tests = randomTests(rng, c, 1+rng.Intn(150))
 			}
 			pg := NewPairGrader(c, tests)
-			sg := NewSweepGrader(c, tests)
 			for _, f := range faults {
-				em, sm := eventMasks(pg, f), sweepMasks(sg, f)
-				if !reflect.DeepEqual(em, sm) {
-					t.Fatalf("seed %d complete=%v fault %v: event masks %x, sweep masks %x",
-						seed, complete, f, em, sm)
+				g := *f.Gate
+				sweep := f
+				sweep.Gate = &g
+				if pg.idx.GatePos(sweep.Gate) != -1 || pg.idx.GatePos(f.Gate) < 0 {
+					t.Fatalf("seed %d fault %v: copy must be foreign, original indexed", seed, f)
 				}
-				if ef, sf := pg.FirstDetecting(f), sg.FirstDetecting(f); ef != sf {
-					t.Fatalf("seed %d fault %v: FirstDetecting event %d sweep %d", seed, f, ef, sf)
+				if ef, sf := pg.FirstDetecting(f), pg.FirstDetecting(sweep); ef != sf {
+					t.Fatalf("seed %d complete=%v fault %v: FirstDetecting event %d sweep %d", seed, complete, f, ef, sf)
 				}
-				if ec, sc := pg.CountDetecting(f), sg.CountDetecting(f); ec != sc {
-					t.Fatalf("seed %d fault %v: CountDetecting event %d sweep %d", seed, f, ec, sc)
+				if ec, sc := pg.CountDetecting(f), pg.CountDetecting(sweep); ec != sc {
+					t.Fatalf("seed %d complete=%v fault %v: CountDetecting event %d sweep %d", seed, complete, f, ec, sc)
 				}
 			}
 		}
@@ -91,23 +84,50 @@ func TestEventGraderBitIdenticalToSweep(t *testing.T) {
 }
 
 // TestEventGraderMatchesScalar pins the event engine to the scalar
-// DetectsOBD semantics pair by pair: the per-lane mask bits are exactly
-// the pairs the scalar grader detects.
+// DetectsOBD semantics pair by pair: over random circuits (primitive and
+// mixed gate sets) × random complete AND partial/X test sets spanning
+// several 64-pair blocks, the per-lane mask bits are exactly the pairs
+// the scalar grader detects — unassigned and X inputs X-masked, never
+// coerced to 0 — and FirstDetecting/CountDetecting equal a scalar scan.
 func TestEventGraderMatchesScalar(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := logic.RandomCircuit(rng, logic.RandomOptions{
-			Inputs: 2 + rng.Intn(4), Gates: 2 + rng.Intn(12), Primitive: seed%2 == 0})
+			Inputs: 1 + rng.Intn(6), Gates: 2 + rng.Intn(16), Primitive: seed%2 == 0})
 		faults, _ := fault.OBDUniverse(c)
-		tests := randomTests(rng, c, 1+rng.Intn(100))
-		pg := NewPairGrader(c, tests)
-		for _, f := range faults {
-			masks := eventMasks(pg, f)
-			for ti, tp := range tests {
-				want := DetectsOBD(c, f, tp)
-				got := masks[ti/64]&(1<<uint(ti%64)) != 0
-				if got != want {
-					t.Fatalf("seed %d fault %v pair %d: event %v scalar %v", seed, f, ti, got, want)
+		for _, complete := range []bool{false, true} {
+			var tests []TwoPattern
+			if complete {
+				tests = completeRandomTests(rng, c, 1+rng.Intn(150))
+			} else {
+				tests = randomTests(rng, c, 1+rng.Intn(150))
+			}
+			pg := NewPairGrader(c, tests)
+			if pg.Complete() != complete {
+				t.Fatalf("seed %d: Complete() = %v for a complete=%v set", seed, pg.Complete(), complete)
+			}
+			for _, f := range faults {
+				masks := eventMasks(pg, f)
+				first, count := -1, 0
+				for ti, tp := range tests {
+					want := DetectsOBD(c, f, tp)
+					got := masks[ti/64]&(1<<uint(ti%64)) != 0
+					if got != want {
+						t.Fatalf("seed %d complete=%v fault %v pair %d: event %v scalar %v",
+							seed, complete, f, ti, got, want)
+					}
+					if want {
+						count++
+						if first < 0 {
+							first = ti
+						}
+					}
+				}
+				if got := pg.FirstDetecting(f); got != first {
+					t.Fatalf("seed %d complete=%v fault %v: FirstDetecting %d, scalar %d", seed, complete, f, got, first)
+				}
+				if got := pg.CountDetecting(f); got != count {
+					t.Fatalf("seed %d complete=%v fault %v: CountDetecting %d, scalar %d", seed, complete, f, got, count)
 				}
 			}
 		}
@@ -281,7 +301,8 @@ func TestPairGraderCompleteGate(t *testing.T) {
 }
 
 // TestPairGraderForeignGateFallback: a fault on a gate outside the circuit
-// must take the sweep fallback and agree with the scalar grader.
+// must grade through the scalar oracle: FirstDetecting and CountDetecting
+// agree with a DetectsOBD scan of the pairs.
 func TestPairGraderForeignGateFallback(t *testing.T) {
 	c := logic.C17()
 	rng := rand.New(rand.NewSource(11))
@@ -293,15 +314,20 @@ func TestPairGraderForeignGateFallback(t *testing.T) {
 	if got := pg.idx.GatePos(g); got != -1 {
 		t.Fatalf("foreign gate resolved to position %d", got)
 	}
-	want := -1
+	want, count := -1, 0
 	for ti, tp := range tests {
 		if DetectsOBD(c, f, tp) {
-			want = ti
-			break
+			if want < 0 {
+				want = ti
+			}
+			count++
 		}
 	}
 	if got := pg.FirstDetecting(f); got != want {
 		t.Fatalf("foreign-gate FirstDetecting %d, scalar %d", got, want)
+	}
+	if got := pg.CountDetecting(f); got != count {
+		t.Fatalf("foreign-gate CountDetecting %d, scalar %d", got, count)
 	}
 }
 

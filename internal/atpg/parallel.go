@@ -1,29 +1,15 @@
 package atpg
 
 import (
-	"math/bits"
-
 	"gobd/internal/fault"
 	"gobd/internal/logic"
 )
 
-// This file implements 64-way bit-parallel two-pattern OBD fault
-// simulation: 64 vector pairs are packed into machine words and graded
-// against each fault with bitwise evaluations of both frames, the
-// series-parallel excitation rule and the forced-value faulty frame. The
-// packing is dual-rail (a value word plus a known word per net), so
-// partial patterns are carried as X rather than silently coerced to 0 —
-// every lane verdict agrees with DetectsOBD, which rejects unknown local
-// values (see the property test). It is the substrate that makes test-set
-// grading on larger circuits cheap.
-
-// PackedPatterns is the dual-rail image of up to 64 (possibly partial)
-// patterns: bit k of Val[net] is set when pattern k assigns One, bit k of
-// Known[net] when it assigns Zero or One. Unassigned and X inputs leave
-// both bits clear.
-type PackedPatterns struct {
-	Val, Known map[string]uint64
-}
+// This file holds the word-level pieces of 64-way bit-parallel
+// two-pattern OBD grading that the event-driven PairGrader (event.go),
+// the repo's one bit-parallel OBD engine, builds on: lane masks and the
+// series-parallel conduction rule over 64 assignments at once, plus the
+// package-level GradeOBDParallel entry point.
 
 // laneMask returns the mask selecting the first n of 64 lanes.
 func laneMask(n int) uint64 {
@@ -31,52 +17,6 @@ func laneMask(n int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(n) - 1
-}
-
-// Complete reports whether all n packed patterns assign every input.
-func (pp PackedPatterns) Complete(c *logic.Circuit, n int) bool {
-	full := laneMask(n)
-	for _, in := range c.Inputs {
-		if pp.Known[in]&full != full {
-			return false
-		}
-	}
-	return true
-}
-
-// PackPatterns packs up to 64 patterns into per-input dual-rail words
-// (bit k = pattern k). Incomplete patterns are explicitly X-masked, never
-// coerced to 0: lanes whose local values are unknown at a fault site are
-// excluded from detection exactly as DetectsOBD refuses them.
-func PackPatterns(c *logic.Circuit, pats []Pattern) PackedPatterns {
-	if len(pats) > 64 {
-		//obdcheck:allow paniccontract — documented hard precondition: callers shard into 64-pattern words before packing
-		panic("atpg: PackPatterns takes at most 64 patterns")
-	}
-	pp := PackedPatterns{
-		Val:   make(map[string]uint64, len(c.Inputs)),
-		Known: make(map[string]uint64, len(c.Inputs)),
-	}
-	for k, p := range pats {
-		bit := uint64(1) << uint(k)
-		for _, in := range c.Inputs {
-			v, ok := p[in]
-			if !ok {
-				v = logic.X
-			}
-			switch v {
-			case logic.One:
-				pp.Val[in] |= bit
-				pp.Known[in] |= bit
-			case logic.Zero:
-				pp.Known[in] |= bit
-			case logic.X:
-				// Lane stays unknown: the Known bit is left clear, which is
-				// exactly the X-masking the package contract promises.
-			}
-		}
-	}
-	return pp
 }
 
 // conductBits evaluates series-parallel conduction bitwise over 64
@@ -106,132 +46,6 @@ func conductBits(n *fault.Network, side fault.Side, in []uint64, removed int) ui
 		}
 		return r
 	}
-}
-
-// DetectMaskOBD grades one OBD fault against 64 packed vector pairs at
-// once, returning the bitmask of detecting pairs. v1 and v2 are the packed
-// first/second-frame input words.
-func DetectMaskOBD(c *logic.Circuit, f fault.OBD, v1, v2 PackedPatterns) uint64 {
-	g1v, g1k := c.EvalBits3(v1.Val, v1.Known, nil, nil, nil)
-	g2v, g2k := c.EvalBits3(v2.Val, v2.Known, nil, nil, nil)
-	return detectMaskWithEvals(c, f, v2, g1v, g1k, g2v, g2k)
-}
-
-// detectMaskWithEvals is DetectMaskOBD with the good-machine frame
-// evaluations precomputed (shared across faults by SweepGrader).
-func detectMaskWithEvals(c *logic.Circuit, f fault.OBD, v2 PackedPatterns, g1v, g1k, g2v, g2k map[string]uint64) uint64 {
-	nets, ok := fault.GateNetworks(f.Gate.Type, len(f.Gate.Inputs))
-	if !ok {
-		return 0
-	}
-	site := f.Gate.Output
-	o1, o2 := g1v[site], g2v[site]
-
-	// Local second-frame gate-input words, and the lanes where every local
-	// value of both frames is known — the bit-parallel image of the
-	// IsKnown rejection in DetectsOBD.
-	localKnown := ^uint64(0)
-	lv2 := make([]uint64, len(f.Gate.Inputs))
-	for i, in := range f.Gate.Inputs {
-		localKnown &= g1k[in] & g2k[in]
-		lv2[i] = g2v[in]
-	}
-	net := nets.PullUp
-	driveMask := o2 // pull-up drives when the new value is 1
-	if f.Side == fault.PullDown {
-		net = nets.PullDown
-		driveMask = ^o2
-	}
-	excited := (o1 ^ o2) &
-		driveMask &
-		localKnown &
-		conductBits(net, f.Side, lv2, -1) &
-		^conductBits(net, f.Side, lv2, f.Input)
-	if excited == 0 {
-		return 0
-	}
-	// Faulty frame 2: the site holds its frame-1 value in the excited
-	// lanes (o1 is known there, localKnown being a subset of g1k[site]).
-	fv, fk := c.EvalBits3(v2.Val, v2.Known,
-		map[string]uint64{site: excited},
-		map[string]uint64{site: o1},
-		map[string]uint64{site: g1k[site]})
-	detected := uint64(0)
-	for _, po := range c.Outputs {
-		detected |= (g2v[po] ^ fv[po]) & g2k[po] & fk[po]
-	}
-	return detected & excited
-}
-
-// SweepGrader is the full-sweep reference grader: every fault evaluation
-// re-walks the whole circuit with the map-keyed bit-parallel evaluators.
-// It precomputes the packed blocks and good-machine evaluations of a test
-// set so the good frames are shared across faults, is immutable after
-// construction and safe for concurrent use. PairGrader (the levelized
-// event-driven engine in event.go) is property-tested bit-identical to it
-// and supersedes it on the hot paths; the sweep stays as the semantic
-// baseline, the perf-trajectory comparison point, and the fallback for
-// faults on gates outside the circuit.
-type SweepGrader struct {
-	c      *logic.Circuit
-	blocks []gradeBlock
-}
-
-type gradeBlock struct {
-	v2       PackedPatterns
-	g1v, g1k map[string]uint64
-	g2v, g2k map[string]uint64
-	n        int
-}
-
-// NewSweepGrader packs vector pairs into 64-wide dual-rail blocks.
-func NewSweepGrader(c *logic.Circuit, tests []TwoPattern) *SweepGrader {
-	pg := &SweepGrader{c: c}
-	for start := 0; start < len(tests); start += 64 {
-		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
-		}
-		v1s := make([]Pattern, 0, end-start)
-		v2s := make([]Pattern, 0, end-start)
-		for _, tp := range tests[start:end] {
-			v1s = append(v1s, tp.V1)
-			v2s = append(v2s, tp.V2)
-		}
-		v1 := PackPatterns(c, v1s)
-		b := gradeBlock{v2: PackPatterns(c, v2s), n: end - start}
-		b.g1v, b.g1k = c.EvalBits3(v1.Val, v1.Known, nil, nil, nil)
-		b.g2v, b.g2k = c.EvalBits3(b.v2.Val, b.v2.Known, nil, nil, nil)
-		pg.blocks = append(pg.blocks, b)
-	}
-	return pg
-}
-
-// Detects reports whether any pair in the set detects the fault.
-func (pg *SweepGrader) Detects(f fault.OBD) bool {
-	return pg.FirstDetecting(f) >= 0
-}
-
-// FirstDetecting returns the index of the first detecting pair, or -1.
-func (pg *SweepGrader) FirstDetecting(f fault.OBD) int {
-	for bi, b := range pg.blocks {
-		mask := detectMaskWithEvals(pg.c, f, b.v2, b.g1v, b.g1k, b.g2v, b.g2k)
-		mask &= laneMask(b.n)
-		if mask != 0 {
-			return bi*64 + bits.TrailingZeros64(mask)
-		}
-	}
-	return -1
-}
-
-// CountDetecting returns how many pairs of the set detect the fault.
-func (pg *SweepGrader) CountDetecting(f fault.OBD) int {
-	n := 0
-	for _, b := range pg.blocks {
-		mask := detectMaskWithEvals(pg.c, f, b.v2, b.g1v, b.g1k, b.g2v, b.g2k)
-		n += bits.OnesCount64(mask & laneMask(b.n))
-	}
-	return n
 }
 
 // GradeOBDParallel fault-simulates a test set against an OBD fault list

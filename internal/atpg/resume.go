@@ -9,8 +9,8 @@ import (
 	"gobd/internal/netcheck"
 )
 
-// This file adds checkpoint/resume to the generation drivers. The
-// commit loops of GenerateOBDTestsCtx and friends settle faults
+// This file is the one generation driver behind GenerateOBDTestsCtx and
+// friends, with checkpoint/resume built in. Its commit loop settles faults
 // strictly in list order, and the verdict committed for fault i depends
 // only on (circuit, faults[i], options) plus the tests committed at
 // indices before i — speculation runs ahead in parallel but its results
@@ -26,6 +26,37 @@ import (
 // caps how many faults are committed before returning, so a caller can
 // alternate generate-segment / persist-checkpoint without cancelling
 // and restarting the scheduler.
+
+// genSet is a fault model's test set as the driver sees it. Its
+// underlying type is that of TestSet (T = TwoPattern) and StuckAtTestSet
+// (T = Pattern), so the entry points convert their sets in place.
+type genSet[T any] struct {
+	Tests    []T
+	Results  []Result
+	Coverage Coverage
+}
+
+// genModel is one fault model's part of the generation driver.
+type genModel[F fmt.Stringer, T any] struct {
+	// gen runs the model's generator for one fault on a pool worker; the
+	// test is meaningful only under Detected.
+	gen func(f F, tb *logic.Testability) (T, Status)
+	// grader returns the first-detecting lookup over a test list: whether
+	// some test detects f, and the pair simulations that took.
+	grader func(tests []T) func(f F) (bool, int64)
+	// grade grades the final test set against the whole fault list.
+	grade func(ctx context.Context, c *logic.Circuit, faults []F, tests []T) (Coverage, error)
+	// pair, when set, is the test a Detected Result carries. Models
+	// without it (stuck-at) keep their tests in the set only.
+	pair func(t T) *TwoPattern
+	// prune, when set, statically proves a fault untestable before
+	// generation (OBD Options.Prune).
+	prune func(f F) bool
+	// resolve, when set, settles an Aborted verdict in the sequential
+	// commit loop (OBD Options.SATFallback), so speculation results stay
+	// advisory and worker counts cannot change what is committed.
+	resolve func(f F) (T, Status)
+}
 
 // checkResumePrefix validates that results is a committable prefix of
 // an n-fault list: not longer than the list, and naming the same faults
@@ -45,18 +76,26 @@ func checkResumePrefix(n int, results []Result, faultName func(i int) string) (i
 	return start, nil
 }
 
-// countTests cross-checks the test list length against the results that
-// should have contributed a test.
-func countTests(results []Result, tests int) error {
-	withTest := 0
+// checkPriorTests cross-checks a prior's test count against its Results:
+// exactly one test per Result carrying one when Results carry their
+// tests, else at most one per Detected Result.
+func checkPriorTests(results []Result, tests int, carried bool) error {
+	withTest, detected := 0, 0
 	for i := range results {
 		if results[i].Test != nil {
 			withTest++
 		}
+		if results[i].Status == Detected {
+			detected++
+		}
 	}
-	if withTest != tests {
+	if carried && withTest != tests {
 		return &ResumeMismatchError{Index: -1,
 			Reason: fmt.Sprintf("prior has %d tests but %d generated results", tests, withTest)}
+	}
+	if !carried && tests > detected {
+		return &ResumeMismatchError{Index: -1,
+			Reason: fmt.Sprintf("prior has %d tests but only %d detected results", tests, detected)}
 	}
 	return nil
 }
@@ -72,6 +111,186 @@ func clampUpto(upto, start, n int) int {
 		upto = start
 	}
 	return upto
+}
+
+// resumeTests is the generation driver: prefix check, fault-dropping
+// state regrade, static pruning, then the speculate/commit loop with
+// fault dropping, and the final grade once the whole list is committed.
+// The returned set is nil only when the circuit or the prior is
+// rejected; otherwise it holds every committed Result, also alongside a
+// cancellation error.
+func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *logic.Circuit, opt *Options, faults []F, m genModel[F, T], prior *genSet[T], upto int) (*genSet[T], error) {
+	if err := ensureValid(c); err != nil {
+		return nil, err
+	}
+	n := len(faults)
+	ts := &genSet[T]{}
+	start := 0
+	if prior != nil {
+		var err error
+		start, err = checkResumePrefix(n, prior.Results, func(i int) string { return faults[i].String() })
+		if err != nil {
+			return nil, err
+		}
+		if err := checkPriorTests(prior.Results, len(prior.Tests), m.pair != nil); err != nil {
+			return nil, err
+		}
+		ts.Tests = append(ts.Tests, prior.Tests...)
+		ts.Results = append(ts.Results, prior.Results...)
+	}
+	upto = clampUpto(upto, start, n)
+	tb := guidance(c, opt)
+	covered := make([]bool, n)
+	done := make([]bool, n)
+	specT := make([]T, n)
+	specSt := make([]Status, n)
+	specErr := make([]error, n)
+	batch := genBatch(s.WorkerCount())
+	if opt.BacktrackSink != nil {
+		batch = 1
+	}
+	// Re-seed the fault-dropping state for the uncommitted tail:
+	// covered[j] at commit time means "a test committed before index j
+	// detects fault j", and every committed test precedes every
+	// uncommitted index, so regrading the prefix's tests reconstructs
+	// the loop state at the boundary exactly.
+	if opt.FaultDropping && len(ts.Tests) > 0 && start < n {
+		first := m.grader(ts.Tests)
+		tail := n - start
+		err := s.runCtx(ctx, tail, gradeGrain(tail, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
+			for k := lo; k < hi; k++ {
+				var pairs int64
+				covered[start+k], pairs = first(faults[start+k])
+				ws.Items++
+				ws.Pairs += pairs
+			}
+		})
+		if err != nil {
+			return ts, err
+		}
+	}
+	if m.prune != nil {
+		// Static untestability proofs settle tail faults before the
+		// generator sees them (committed indices already carry their
+		// verdicts).
+		pruned := make([]bool, n-start)
+		rep := s.ForEachCtx(ctx, n-start, func(k int) error {
+			pruned[k] = m.prune(faults[start+k])
+			return nil
+		})
+		if rep.Err != nil {
+			return ts, rep.Err
+		}
+		for k, p := range pruned {
+			if p {
+				done[start+k] = true
+				specSt[start+k] = Untestable
+			}
+		}
+	}
+	for i := start; i < upto; i++ {
+		if err := ctx.Err(); err != nil {
+			return ts, err
+		}
+		name := faults[i].String()
+		if covered[i] {
+			ts.Results = append(ts.Results, Result{Fault: name, Status: Detected})
+			continue
+		}
+		if !done[i] {
+			s.speculate(ctx, i, batch, covered, done, func(j int) {
+				specErr[j] = protect(func() error {
+					specT[j], specSt[j] = m.gen(faults[j], tb)
+					return nil
+				})
+			})
+			if !done[i] { // speculation cut short by cancellation
+				return ts, ctx.Err()
+			}
+		}
+		t, st := specT[i], specSt[i]
+		if specErr[i] != nil {
+			ts.Results = append(ts.Results, Result{Fault: name, Status: Errored, Err: &ItemError{Index: i, Err: specErr[i]}})
+			continue
+		}
+		if st == Aborted && m.resolve != nil {
+			t, st = m.resolve(faults[i])
+		}
+		res := Result{Fault: name, Status: st}
+		if st == Detected {
+			if m.pair != nil {
+				res.Test = m.pair(t)
+			}
+			ts.Tests = append(ts.Tests, t)
+			if opt.FaultDropping {
+				drop(ctx, s, faults, covered, i, m.grader([]T{t}))
+			}
+		}
+		ts.Results = append(ts.Results, res)
+	}
+	if upto < n {
+		return ts, ctx.Err()
+	}
+	cov, err := m.grade(ctx, c, faults, ts.Tests)
+	if err != nil {
+		return ts, err
+	}
+	ts.Coverage = cov
+	return ts, nil
+}
+
+// drop marks every fault at or after index from that a new test detects,
+// first being the model's grader over that one test, sharding the drop
+// simulation across the pool. A cancelled drop leaves covered partially
+// updated; the commit loops re-check ctx before the next item commits,
+// so the partial state is never read.
+func drop[F any](ctx context.Context, s *Scheduler, faults []F, covered []bool, from int, first func(F) (bool, int64)) {
+	m := len(faults) - from
+	_ = s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
+		for k := lo; k < hi; k++ {
+			if j := from + k; !covered[j] {
+				covered[j], _ = first(faults[j])
+			}
+			ws.Pairs++
+		}
+	})
+}
+
+// obdGrader is the OBD first-detecting grader: the event-driven engine
+// over the whole test list, charging every pair per fault.
+func obdGrader(c *logic.Circuit) func(tests []TwoPattern) func(fault.OBD) (bool, int64) {
+	return func(tests []TwoPattern) func(fault.OBD) (bool, int64) {
+		pg := NewPairGrader(c, tests)
+		return func(f fault.OBD) (bool, int64) { return pg.Detects(f), int64(len(tests)) }
+	}
+}
+
+// scanGrader is the first-detecting grader of the scalar models: the
+// tests are scanned in list order with the model's Detects oracle,
+// charging the tests scanned.
+func scanGrader[F, T any](c *logic.Circuit, detects func(*logic.Circuit, F, T) bool) func(tests []T) func(F) (bool, int64) {
+	return func(tests []T) func(F) (bool, int64) {
+		return func(f F) (bool, int64) {
+			for ti := range tests {
+				if detects(c, f, tests[ti]) {
+					return true, int64(ti + 1)
+				}
+			}
+			return false, int64(len(tests))
+		}
+	}
+}
+
+// pairRef is the Result test of the two-pattern models.
+func pairRef(tp TwoPattern) *TwoPattern { return &tp }
+
+// pairValue unwraps a two-pattern generator's result (nil unless
+// Detected).
+func pairValue(tp *TwoPattern, st Status) (TwoPattern, Status) {
+	if tp == nil {
+		return TwoPattern{}, st
+	}
+	return *tp, st
 }
 
 // ResumeOBDTestsCtx continues an OBD generation run from a previously
@@ -91,123 +310,22 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 	if opt == nil {
 		opt = DefaultOptions()
 	}
-	if err := ensureValid(c); err != nil {
-		return nil, err
-	}
-	n := len(faults)
-	ts := &TestSet{}
-	start := 0
-	if prior != nil {
-		var err error
-		start, err = checkResumePrefix(n, prior.Results, func(i int) string { return faults[i].String() })
-		if err != nil {
-			return nil, err
-		}
-		if err := countTests(prior.Results, len(prior.Tests)); err != nil {
-			return nil, err
-		}
-		ts.Tests = append(ts.Tests, prior.Tests...)
-		ts.Results = append(ts.Results, prior.Results...)
-	}
-	upto = clampUpto(upto, start, n)
-	tb := guidance(c, opt)
-	covered := make([]bool, n)
-	done := make([]bool, n)
-	specTP := make([]*TwoPattern, n)
-	specSt := make([]Status, n)
-	specErr := make([]error, n)
-	batch := genBatch(s.WorkerCount())
-	if opt.BacktrackSink != nil {
-		batch = 1
-	}
-	// Re-seed the fault-dropping state for the uncommitted tail:
-	// covered[j] at commit time means "a test committed before index j
-	// detects fault j", and every committed test precedes every
-	// uncommitted index, so regrading the prefix's tests reconstructs
-	// the loop state at the boundary exactly.
-	if opt.FaultDropping && len(ts.Tests) > 0 && start < n {
-		pg := NewPairGrader(c, ts.Tests)
-		m := n - start
-		err := s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-			for k := lo; k < hi; k++ {
-				j := start + k
-				covered[j] = pg.FirstDetecting(faults[j]) >= 0
-				ws.Items++
-				ws.Pairs += int64(len(ts.Tests))
-			}
-		})
-		if err != nil {
-			return ts, err
-		}
+	m := genModel[fault.OBD, TwoPattern]{
+		gen: func(f fault.OBD, tb *logic.Testability) (TwoPattern, Status) {
+			return pairValue(generateOBDTestWith(c, f, opt, tb))
+		},
+		grader: obdGrader(c),
+		grade:  s.GradeOBDCtx,
+		pair:   pairRef,
 	}
 	if opt.Prune {
-		// Static untestability proofs settle tail faults before PODEM
-		// sees them (committed indices already carry their verdicts).
-		pruned := make([]bool, n-start)
-		rep := s.ForEachCtx(ctx, n-start, func(k int) error {
-			pruned[k] = netcheck.ProveOBD(c, faults[start+k]).Untestable
-			return nil
-		})
-		if rep.Err != nil {
-			return ts, rep.Err
-		}
-		for k, p := range pruned {
-			if p {
-				done[start+k] = true
-				specSt[start+k] = Untestable
-			}
-		}
+		m.prune = func(f fault.OBD) bool { return netcheck.ProveOBD(c, f).Untestable }
 	}
-	for i := start; i < upto; i++ {
-		f := faults[i]
-		if err := ctx.Err(); err != nil {
-			return ts, err
-		}
-		if covered[i] {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Detected})
-			continue
-		}
-		if !done[i] {
-			s.speculate(ctx, i, batch, covered, done, func(j int) {
-				specErr[j] = protect(func() error {
-					specTP[j], specSt[j] = generateOBDTestWith(c, faults[j], opt, tb)
-					return nil
-				})
-			})
-			if !done[i] { // speculation cut short by cancellation
-				return ts, ctx.Err()
-			}
-		}
-		tp, st := specTP[i], specSt[i]
-		if specErr[i] != nil {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Errored, Err: &ItemError{Index: i, Err: specErr[i]}})
-			continue
-		}
-		if st == Aborted && opt.SATFallback {
-			// Resolved here in the sequential commit loop — speculation
-			// results stay advisory and worker counts cannot change what
-			// is committed (or the SATStats counters).
-			tp, st = satResolveOBD(c, f, opt)
-		}
-		res := Result{Fault: f.String(), Status: st}
-		if st == Detected {
-			res.Test = tp
-			ts.Tests = append(ts.Tests, *tp)
-			if opt.FaultDropping {
-				s.dropOBD(c, faults, covered, i, *tp)
-			}
-		}
-		ts.Results = append(ts.Results, res)
+	if opt.SATFallback {
+		m.resolve = func(f fault.OBD) (TwoPattern, Status) { return pairValue(satResolveOBD(c, f, opt)) }
 	}
-	if upto < n {
-		return ts, ctx.Err()
-	}
-	cov, err := s.GradeOBDCtx(ctx, c, faults, ts.Tests)
-	if err != nil {
-		return ts, err
-	}
-	ts.Coverage = cov
-	return ts, nil
+	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[TwoPattern])(prior), upto)
+	return (*TestSet)(ts), err
 }
 
 // ResumeTransitionTestsCtx continues a transition-fault generation run
@@ -217,112 +335,16 @@ func (s *Scheduler) ResumeTransitionTestsCtx(ctx context.Context, c *logic.Circu
 	if opt == nil {
 		opt = DefaultOptions()
 	}
-	if err := ensureValid(c); err != nil {
-		return nil, err
+	m := genModel[fault.Transition, TwoPattern]{
+		gen: func(f fault.Transition, tb *logic.Testability) (TwoPattern, Status) {
+			return pairValue(generateTransitionTestWith(c, f, opt, tb))
+		},
+		grader: scanGrader(c, DetectsTransition),
+		grade:  s.GradeTransitionCtx,
+		pair:   pairRef,
 	}
-	n := len(faults)
-	ts := &TestSet{}
-	start := 0
-	if prior != nil {
-		var err error
-		start, err = checkResumePrefix(n, prior.Results, func(i int) string { return faults[i].String() })
-		if err != nil {
-			return nil, err
-		}
-		if err := countTests(prior.Results, len(prior.Tests)); err != nil {
-			return nil, err
-		}
-		ts.Tests = append(ts.Tests, prior.Tests...)
-		ts.Results = append(ts.Results, prior.Results...)
-	}
-	upto = clampUpto(upto, start, n)
-	tb := guidance(c, opt)
-	covered := make([]bool, n)
-	done := make([]bool, n)
-	specTP := make([]*TwoPattern, n)
-	specSt := make([]Status, n)
-	specErr := make([]error, n)
-	batch := genBatch(s.WorkerCount())
-	if opt.BacktrackSink != nil {
-		batch = 1
-	}
-	if opt.FaultDropping && len(ts.Tests) > 0 && start < n {
-		m := n - start
-		err := s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-			for k := lo; k < hi; k++ {
-				j := start + k
-				scanned := len(ts.Tests)
-				for ti := range ts.Tests {
-					if DetectsTransition(c, faults[j], ts.Tests[ti]) {
-						covered[j] = true
-						scanned = ti + 1
-						break
-					}
-				}
-				ws.Items++
-				ws.Pairs += int64(scanned)
-			}
-		})
-		if err != nil {
-			return ts, err
-		}
-	}
-	for i := start; i < upto; i++ {
-		f := faults[i]
-		if err := ctx.Err(); err != nil {
-			return ts, err
-		}
-		if covered[i] {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Detected})
-			continue
-		}
-		if !done[i] {
-			s.speculate(ctx, i, batch, covered, done, func(j int) {
-				specErr[j] = protect(func() error {
-					specTP[j], specSt[j] = generateTransitionTestWith(c, faults[j], opt, tb)
-					return nil
-				})
-			})
-			if !done[i] {
-				return ts, ctx.Err()
-			}
-		}
-		tp, st := specTP[i], specSt[i]
-		if specErr[i] != nil {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Errored, Err: &ItemError{Index: i, Err: specErr[i]}})
-			continue
-		}
-		res := Result{Fault: f.String(), Status: st}
-		if st == Detected {
-			res.Test = tp
-			ts.Tests = append(ts.Tests, *tp)
-			if opt.FaultDropping {
-				m := n - i
-				// A cancelled drop is caught by the ctx check at the top of
-				// the next iteration; the partially updated covered[] only
-				// concerns items that check never reaches.
-				_ = s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-					for k := lo; k < hi; k++ {
-						j := i + k
-						if !covered[j] && DetectsTransition(c, faults[j], *tp) {
-							covered[j] = true
-						}
-						ws.Pairs++
-					}
-				})
-			}
-		}
-		ts.Results = append(ts.Results, res)
-	}
-	if upto < n {
-		return ts, ctx.Err()
-	}
-	cov, err := s.GradeTransitionCtx(ctx, c, faults, ts.Tests)
-	if err != nil {
-		return ts, err
-	}
-	ts.Coverage = cov
-	return ts, nil
+	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[TwoPattern])(prior), upto)
+	return (*TestSet)(ts), err
 }
 
 // ResumeStuckAtTestsCtx continues a stuck-at generation run from a
@@ -334,115 +356,13 @@ func (s *Scheduler) ResumeStuckAtTestsCtx(ctx context.Context, c *logic.Circuit,
 	if opt == nil {
 		opt = DefaultOptions()
 	}
-	if err := ensureValid(c); err != nil {
-		return nil, err
+	m := genModel[fault.StuckAt, Pattern]{
+		gen: func(f fault.StuckAt, tb *logic.Testability) (Pattern, Status) {
+			return generateStuckAtTestWith(c, f, opt, tb)
+		},
+		grader: scanGrader(c, DetectsStuckAt),
+		grade:  s.GradeStuckAtCtx,
 	}
-	n := len(faults)
-	ts := &StuckAtTestSet{}
-	start := 0
-	if prior != nil {
-		var err error
-		start, err = checkResumePrefix(n, prior.Results, func(i int) string { return faults[i].String() })
-		if err != nil {
-			return nil, err
-		}
-		detected := 0
-		for i := range prior.Results {
-			if prior.Results[i].Status == Detected {
-				detected++
-			}
-		}
-		if len(prior.Tests) > detected {
-			return nil, &ResumeMismatchError{Index: -1,
-				Reason: fmt.Sprintf("prior has %d tests but only %d detected results", len(prior.Tests), detected)}
-		}
-		ts.Tests = append(ts.Tests, prior.Tests...)
-		ts.Results = append(ts.Results, prior.Results...)
-	}
-	upto = clampUpto(upto, start, n)
-	tb := guidance(c, opt)
-	covered := make([]bool, n)
-	done := make([]bool, n)
-	specP := make([]Pattern, n)
-	specSt := make([]Status, n)
-	specErr := make([]error, n)
-	batch := genBatch(s.WorkerCount())
-	if opt.BacktrackSink != nil {
-		batch = 1
-	}
-	if opt.FaultDropping && len(ts.Tests) > 0 && start < n {
-		m := n - start
-		err := s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-			for k := lo; k < hi; k++ {
-				j := start + k
-				scanned := len(ts.Tests)
-				for ti := range ts.Tests {
-					if DetectsStuckAt(c, faults[j], ts.Tests[ti]) {
-						covered[j] = true
-						scanned = ti + 1
-						break
-					}
-				}
-				ws.Items++
-				ws.Pairs += int64(scanned)
-			}
-		})
-		if err != nil {
-			return ts, err
-		}
-	}
-	for i := start; i < upto; i++ {
-		f := faults[i]
-		if err := ctx.Err(); err != nil {
-			return ts, err
-		}
-		if covered[i] {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Detected})
-			continue
-		}
-		if !done[i] {
-			s.speculate(ctx, i, batch, covered, done, func(j int) {
-				specErr[j] = protect(func() error {
-					specP[j], specSt[j] = generateStuckAtTestWith(c, faults[j], opt, tb)
-					return nil
-				})
-			})
-			if !done[i] {
-				return ts, ctx.Err()
-			}
-		}
-		p, st := specP[i], specSt[i]
-		if specErr[i] != nil {
-			ts.Results = append(ts.Results, Result{Fault: f.String(), Status: Errored, Err: &ItemError{Index: i, Err: specErr[i]}})
-			continue
-		}
-		res := Result{Fault: f.String(), Status: st}
-		if st == Detected {
-			ts.Tests = append(ts.Tests, p)
-			if opt.FaultDropping {
-				m := n - i
-				// Same contract as the transition drop above: cancellation
-				// is re-checked before the next item commits.
-				_ = s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-					for k := lo; k < hi; k++ {
-						j := i + k
-						if !covered[j] && DetectsStuckAt(c, faults[j], p) {
-							covered[j] = true
-						}
-						ws.Pairs++
-					}
-				})
-			}
-		}
-		ts.Results = append(ts.Results, res)
-	}
-	if upto < n {
-		return ts, ctx.Err()
-	}
-	cov, err := s.GradeStuckAtCtx(ctx, c, faults, ts.Tests)
-	if err != nil {
-		return ts, err
-	}
-	ts.Coverage = cov
-	return ts, nil
+	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[Pattern])(prior), upto)
+	return (*StuckAtTestSet)(ts), err
 }

@@ -105,16 +105,13 @@ func TestQuickParallelMatchesScalar(t *testing.T) {
 		}
 		nPairs := 1 + rng.Intn(64)
 		tests := make([]TwoPattern, nPairs)
-		v1s := make([]Pattern, nPairs)
-		v2s := make([]Pattern, nPairs)
 		for i := range tests {
 			tests[i] = TwoPattern{V1: mk(), V2: mk()}
-			v1s[i], v2s[i] = tests[i].V1, tests[i].V2
 		}
-		v1w, v2w := PackPatterns(c, v1s), PackPatterns(c, v2s)
+		pg := NewPairGrader(c, tests)
 		for k := 0; k < 3; k++ {
 			fl := faults[rng.Intn(len(faults))]
-			mask := DetectMaskOBD(c, fl, v1w, v2w)
+			mask := eventMasks(pg, fl)[0]
 			lane := rng.Intn(nPairs)
 			want := DetectsOBD(c, fl, tests[lane])
 			got := mask&(1<<uint(lane)) != 0

@@ -325,7 +325,7 @@ func mergeCoverage(det []bool, name func(i int) string) Coverage {
 // representative and the verdict fanned back out (an exact, not
 // approximate, sharing — see netcheck.CollapseOBDComplete).
 func (s *Scheduler) GradeOBD(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) (Coverage, error) {
-	return s.gradeOBD(context.Background(), c, faults, tests, true)
+	return s.GradeOBDCtx(context.Background(), c, faults, tests)
 }
 
 // GradeOBDCtx is GradeOBD with cooperative cancellation: when ctx is
@@ -386,142 +386,63 @@ func (s *Scheduler) gradeOBD(ctx context.Context, c *logic.Circuit, faults []fau
 // GradeTransition fault-simulates a test set against transition faults,
 // sharding the fault list across the pool.
 func (s *Scheduler) GradeTransition(c *logic.Circuit, faults []fault.Transition, tests []TwoPattern) (Coverage, error) {
-	if err := ensureValid(c); err != nil {
-		return Coverage{}, err
-	}
-	if len(faults) == 0 {
-		return Coverage{Total: 0}, nil
-	}
-	det := make([]bool, len(faults))
-	s.run(len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for i := lo; i < hi; i++ {
-			scanned := len(tests)
-			for ti, tp := range tests {
-				if DetectsTransition(c, faults[i], tp) {
-					det[i] = true
-					scanned = ti + 1
-					break
-				}
-			}
-			ws.Items++
-			ws.Pairs += int64(scanned)
-		}
-	})
-	return mergeCoverage(det, func(i int) string { return faults[i].String() }), nil
+	return s.GradeTransitionCtx(context.Background(), c, faults, tests)
 }
 
 // GradeTransitionCtx is GradeTransition with cooperative cancellation
 // (see GradeOBDCtx for the no-partial-coverage contract).
 func (s *Scheduler) GradeTransitionCtx(ctx context.Context, c *logic.Circuit, faults []fault.Transition, tests []TwoPattern) (Coverage, error) {
-	if err := ensureValid(c); err != nil {
-		return Coverage{}, err
-	}
-	if len(faults) == 0 {
-		return Coverage{Total: 0}, nil
-	}
-	det := make([]bool, len(faults))
-	err := s.runCtx(ctx, len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for i := lo; i < hi; i++ {
-			scanned := len(tests)
-			for ti, tp := range tests {
-				if DetectsTransition(c, faults[i], tp) {
-					det[i] = true
-					scanned = ti + 1
-					break
-				}
-			}
-			ws.Items++
-			ws.Pairs += int64(scanned)
-		}
-	})
-	if err != nil {
-		return Coverage{}, err
-	}
-	return mergeCoverage(det, func(i int) string { return faults[i].String() }), nil
+	return scanGradeCtx(ctx, s, c, faults, tests, DetectsTransition, fault.Transition.String)
 }
 
 // GradeStuckAt fault-simulates single patterns against stuck-at faults,
 // sharding the fault list across the pool.
 func (s *Scheduler) GradeStuckAt(c *logic.Circuit, faults []fault.StuckAt, tests []Pattern) (Coverage, error) {
-	if err := ensureValid(c); err != nil {
-		return Coverage{}, err
-	}
-	if len(faults) == 0 {
-		return Coverage{Total: 0}, nil
-	}
-	det := make([]bool, len(faults))
-	s.run(len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for i := lo; i < hi; i++ {
-			scanned := len(tests)
-			for ti, p := range tests {
-				if DetectsStuckAt(c, faults[i], p) {
-					det[i] = true
-					scanned = ti + 1
-					break
-				}
-			}
-			ws.Items++
-			ws.Pairs += int64(scanned)
-		}
-	})
-	return mergeCoverage(det, func(i int) string { return faults[i].String() }), nil
+	return s.GradeStuckAtCtx(context.Background(), c, faults, tests)
 }
 
 // GradeStuckAtCtx is GradeStuckAt with cooperative cancellation
 // (see GradeOBDCtx for the no-partial-coverage contract).
 func (s *Scheduler) GradeStuckAtCtx(ctx context.Context, c *logic.Circuit, faults []fault.StuckAt, tests []Pattern) (Coverage, error) {
+	return scanGradeCtx(ctx, s, c, faults, tests, DetectsStuckAt, fault.StuckAt.String)
+}
+
+// GradeOBDMulti fault-simulates a test set against multi-defect
+// ensembles, sharding the ensemble list across the pool.
+func (s *Scheduler) GradeOBDMulti(c *logic.Circuit, ensembles [][]fault.OBD, tests []TwoPattern) (Coverage, error) {
+	return scanGrade(s, c, ensembles, tests, DetectsOBDMulti, ensembleName)
+}
+
+// scanGrade is scanGradeCtx without cancellation.
+func scanGrade[F, T any](s *Scheduler, c *logic.Circuit, faults []F, tests []T, detects func(*logic.Circuit, F, T) bool, name func(F) string) (Coverage, error) {
+	return scanGradeCtx(context.Background(), s, c, faults, tests, detects, name)
+}
+
+// scanGradeCtx is the scalar grader shared by the transition, stuck-at
+// and multi-defect models: each fault is detected by the first test, in
+// list order, its detects oracle accepts. Faults shard across the pool;
+// Pairs counts the tests scanned. A cancelled grade reports no Coverage.
+func scanGradeCtx[F, T any](ctx context.Context, s *Scheduler, c *logic.Circuit, faults []F, tests []T, detects func(*logic.Circuit, F, T) bool, name func(F) string) (Coverage, error) {
 	if err := ensureValid(c); err != nil {
 		return Coverage{}, err
 	}
 	if len(faults) == 0 {
 		return Coverage{Total: 0}, nil
 	}
+	first := scanGrader(c, detects)(tests)
 	det := make([]bool, len(faults))
 	err := s.runCtx(ctx, len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
 		for i := lo; i < hi; i++ {
-			scanned := len(tests)
-			for ti, p := range tests {
-				if DetectsStuckAt(c, faults[i], p) {
-					det[i] = true
-					scanned = ti + 1
-					break
-				}
-			}
+			var pairs int64
+			det[i], pairs = first(faults[i])
 			ws.Items++
-			ws.Pairs += int64(scanned)
+			ws.Pairs += pairs
 		}
 	})
 	if err != nil {
 		return Coverage{}, err
 	}
-	return mergeCoverage(det, func(i int) string { return faults[i].String() }), nil
-}
-
-// GradeOBDMulti fault-simulates a test set against multi-defect
-// ensembles, sharding the ensemble list across the pool.
-func (s *Scheduler) GradeOBDMulti(c *logic.Circuit, ensembles [][]fault.OBD, tests []TwoPattern) (Coverage, error) {
-	if err := ensureValid(c); err != nil {
-		return Coverage{}, err
-	}
-	if len(ensembles) == 0 {
-		return Coverage{Total: 0}, nil
-	}
-	det := make([]bool, len(ensembles))
-	s.run(len(ensembles), gradeGrain(len(ensembles), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for i := lo; i < hi; i++ {
-			scanned := len(tests)
-			for ti, tp := range tests {
-				if DetectsOBDMulti(c, ensembles[i], tp) {
-					det[i] = true
-					scanned = ti + 1
-					break
-				}
-			}
-			ws.Items++
-			ws.Pairs += int64(scanned)
-		}
-	})
-	return mergeCoverage(det, func(i int) string { return ensembleName(ensembles[i]) }), nil
+	return mergeCoverage(det, func(i int) string { return name(faults[i]) }), nil
 }
 
 // DetectionCounts returns, per fault, how many pairs of the test set
@@ -647,25 +568,6 @@ func genBatch(workers int) int {
 	return 2 * workers
 }
 
-// dropOBD marks every fault at or after index from that the new test
-// detects, sharding the drop simulation across the pool. The single pair
-// is packed once and each fault graded with the event-driven engine, so
-// a drop pass costs two good-machine evaluations plus one cone
-// propagation per fault instead of per-fault full sweeps.
-func (s *Scheduler) dropOBD(c *logic.Circuit, faults []fault.OBD, covered []bool, from int, tp TwoPattern) {
-	pg := NewPairGrader(c, []TwoPattern{tp})
-	m := len(faults) - from
-	s.run(m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for k := lo; k < hi; k++ {
-			j := from + k
-			if !covered[j] && pg.Detects(faults[j]) {
-				covered[j] = true
-			}
-			ws.Pairs++
-		}
-	})
-}
-
 // GenerateOBDTests runs the OBD generator over a fault list with optional
 // fault dropping, speculatively generating ahead across the pool. Tests,
 // Results and Coverage are bit-identical to the sequential loop for any
@@ -759,7 +661,7 @@ func (s *Scheduler) GenerateLOSTestsCtx(ctx context.Context, c *logic.Circuit, f
 		}
 		tp := *specTP[i]
 		out.Tests = append(out.Tests, tp)
-		s.dropOBD(c, faults, covered, i, tp)
+		drop(ctx, s, faults, covered, i, obdGrader(c)([]TwoPattern{tp}))
 	}
 	cov, err := s.GradeOBDCtx(ctx, c, faults, out.Tests)
 	if err != nil {

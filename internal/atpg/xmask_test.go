@@ -23,8 +23,8 @@ func findFault(t *testing.T, c *logic.Circuit, name string) fault.OBD {
 }
 
 // TestXMaskRegression is the regression for the silent X→0 coercion:
-// PackPatterns used to read unassigned inputs through a plain map lookup,
-// turning X into logic 0. For the 2-input NAND with V1=(1,1) and a PARTIAL
+// the bit-parallel packer used to read unassigned inputs through a plain
+// map lookup, turning X into logic 0. For the 2-input NAND with V1=(1,1) and a PARTIAL
 // V2 that leaves input a unassigned, the coerced grader saw the pair
 // (11,01) and claimed a detection of g1/PMOS@a that the scalar reference
 // DetectsOBD — which refuses unknown local values — rejects. The grader

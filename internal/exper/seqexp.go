@@ -12,7 +12,7 @@ import (
 type SeqModeRow struct {
 	Name     string
 	Universe int
-	Cov      map[seq.Mode]atpg.Coverage
+	Cov      map[seq.Style]atpg.Coverage
 }
 
 // SeqModes extends the DFT study to sequential circuits: the same
@@ -43,9 +43,9 @@ func RunSeqModes() (*SeqModes, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := SeqModeRow{Name: tb.name, Cov: make(map[seq.Mode]atpg.Coverage)}
-		for _, m := range []seq.Mode{seq.EnhancedScan, seq.LaunchOnShift, seq.LaunchOnCapture} {
-			cov, err := s.ModeCoverage(m)
+		row := SeqModeRow{Name: tb.name, Cov: make(map[seq.Style]atpg.Coverage)}
+		for _, m := range []seq.Style{seq.Enhanced, seq.LOS, seq.LOC} {
+			cov, err := seq.StyleCoverage(s, m)
 			if err != nil {
 				return nil, fmt.Errorf("exper: %s %v: %w", tb.name, m, err)
 			}
@@ -64,7 +64,7 @@ func (s *SeqModes) Format() string {
 	fmt.Fprintf(&b, "  %-14s %8s %18s %18s %18s\n", "testbed", "faults", "enhanced-scan", "launch-on-shift", "launch-on-capture")
 	for _, r := range s.Rows {
 		fmt.Fprintf(&b, "  %-14s %8d %18s %18s %18s\n", r.Name, r.Universe,
-			r.Cov[seq.EnhancedScan].String(), r.Cov[seq.LaunchOnShift].String(), r.Cov[seq.LaunchOnCapture].String())
+			r.Cov[seq.Enhanced].String(), r.Cov[seq.LOS].String(), r.Cov[seq.LOC].String())
 	}
 	return b.String()
 }
@@ -76,13 +76,13 @@ func (s *SeqModes) Check() []string {
 	var bad []string
 	strictLOC := false
 	for _, r := range s.Rows {
-		enh := r.Cov[seq.EnhancedScan].Detected
-		for _, m := range []seq.Mode{seq.LaunchOnShift, seq.LaunchOnCapture} {
+		enh := r.Cov[seq.Enhanced].Detected
+		for _, m := range []seq.Style{seq.LOS, seq.LOC} {
 			if r.Cov[m].Detected > enh {
 				bad = append(bad, fmt.Sprintf("%s: %v exceeds enhanced scan", r.Name, m))
 			}
 		}
-		if r.Cov[seq.LaunchOnCapture].Detected < enh {
+		if r.Cov[seq.LOC].Detected < enh {
 			strictLOC = true
 		}
 	}

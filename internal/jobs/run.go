@@ -193,7 +193,7 @@ func (m *Manager) runATPG(ctx context.Context, e *jobEntry, n *normalized) ([]by
 		var err error
 		switch model {
 		case "obd":
-			//obdcheck:allow paniccontract — PackPatterns' input-count precondition holds: the circuit passed Validate in normalize, so its input count is within the packer's word bound
+			//obdcheck:allow paniccontract — the SAT fallback's encoder DFF panic is unreachable: ResumeOBDTestsCtx rejects DFF-bearing circuits with a typed *SequentialCircuitError before any fallback runs
 			ts, err = s.ResumeOBDTestsCtx(ctx, c, obdFaults, n.opt, ts, upto)
 		case "transition":
 			ts, err = s.ResumeTransitionTestsCtx(ctx, c, transFaults, n.opt, ts, upto)

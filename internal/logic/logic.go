@@ -565,95 +565,6 @@ func (c *Circuit) Eval(assign map[string]Value, override map[string]Value) map[s
 	return vals
 }
 
-// EvalBits evaluates 64 parallel two-valued patterns. overrideMask/Value,
-// when non-nil, force (per net) the bits selected by the mask to the given
-// values.
-func (c *Circuit) EvalBits(assign map[string]uint64, overrideMask, overrideValue map[string]uint64) map[string]uint64 {
-	c.mustValidate()
-	vals := make(map[string]uint64, len(c.Gates)+len(c.Inputs))
-	apply := func(net string, v uint64) uint64 {
-		if overrideMask == nil {
-			return v
-		}
-		if m, ok := overrideMask[net]; ok {
-			return (v &^ m) | (overrideValue[net] & m)
-		}
-		return v
-	}
-	for _, in := range c.Inputs {
-		vals[in] = apply(in, assign[in])
-	}
-	for _, g := range c.Gates {
-		if g.Type == Dff {
-			vals[g.Output] = apply(g.Output, assign[g.Output])
-		}
-	}
-	buf := make([]uint64, 0, 4)
-	for _, g := range c.ordered {
-		if g.Type == Dff {
-			continue
-		}
-		buf = buf[:0]
-		for _, in := range g.Inputs {
-			buf = append(buf, vals[in])
-		}
-		vals[g.Output] = apply(g.Output, g.EvalBits(buf))
-	}
-	return vals
-}
-
-// EvalBits3 evaluates 64 parallel three-valued patterns in dual-rail
-// encoding (see Gate.EvalBits3): per net, bit k of the first returned map
-// is the One-rail, bit k of the second the known-rail. Input lanes absent
-// from assignKnown are unknown — the bit-parallel image of Eval treating
-// unassigned inputs as X. overrideMask/Val/Known, when non-nil, force
-// (per net) the lanes selected by the mask to the given value and known
-// bits — the hook fault simulation uses to impose a faulty site value.
-func (c *Circuit) EvalBits3(assignVal, assignKnown map[string]uint64, overrideMask, overrideVal, overrideKnown map[string]uint64) (map[string]uint64, map[string]uint64) {
-	c.mustValidate()
-	vals := make(map[string]uint64, len(c.Gates)+len(c.Inputs))
-	knowns := make(map[string]uint64, len(c.Gates)+len(c.Inputs))
-	apply := func(net string, v, k uint64) (uint64, uint64) {
-		if overrideMask == nil {
-			return v, k
-		}
-		m, ok := overrideMask[net]
-		if !ok {
-			return v, k
-		}
-		return (v &^ m) | (overrideVal[net] & m), (k &^ m) | (overrideKnown[net] & m)
-	}
-	for _, in := range c.Inputs {
-		k := assignKnown[in]
-		v, k := apply(in, assignVal[in]&k, k)
-		vals[in], knowns[in] = v, k
-	}
-	for _, g := range c.Gates {
-		if g.Type != Dff {
-			continue
-		}
-		k := assignKnown[g.Output]
-		v, k := apply(g.Output, assignVal[g.Output]&k, k)
-		vals[g.Output], knowns[g.Output] = v, k
-	}
-	vbuf := make([]uint64, 0, 4)
-	kbuf := make([]uint64, 0, 4)
-	for _, g := range c.ordered {
-		if g.Type == Dff {
-			continue
-		}
-		vbuf, kbuf = vbuf[:0], kbuf[:0]
-		for _, in := range g.Inputs {
-			vbuf = append(vbuf, vals[in])
-			kbuf = append(kbuf, knowns[in])
-		}
-		v, k := g.EvalBits3(vbuf, kbuf)
-		v, k = apply(g.Output, v, k)
-		vals[g.Output], knowns[g.Output] = v, k
-	}
-	return vals, knowns
-}
-
 // TruthTable exhaustively evaluates one output over all PI assignments
 // (inputs in declaration order, index bit i = value of input i). It panics
 // beyond 20 inputs.

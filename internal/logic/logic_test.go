@@ -346,28 +346,126 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestQuickBitsMatchesScalar: the 64-way evaluator agrees with the scalar
-// evaluator on random circuits and random patterns.
+// TestQuickBitsMatchesScalar: the 64-way gate evaluators agree lane by
+// lane with the scalar Gate.Eval for every gate type and every legal
+// arity from 1 to 4 — EvalBits on two-valued lanes, EvalBits3 on
+// three-valued lanes with X included (and its outputs stay canonical:
+// unknown lanes carry a 0 value bit).
 func TestQuickBitsMatchesScalar(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := RandomCircuit(rng, RandomOptions{Inputs: 1 + rng.Intn(6), Gates: 1 + rng.Intn(40)})
-		// 64 random patterns packed into words.
-		bits := make(map[string]uint64, len(c.Inputs))
+		for typ := Inv; typ <= Dff; typ++ {
+			for n := 1; n <= 4; n++ {
+				if !arityOK(typ, n) {
+					continue
+				}
+				g := &Gate{Name: "g", Type: typ, Inputs: make([]string, n), Output: "y"}
+				lanes := make([][]Value, 64)
+				val, known, bits := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+				for k := range lanes {
+					lanes[k] = make([]Value, n)
+					for i := range lanes[k] {
+						v := Value(rng.Intn(3))
+						lanes[k][i] = v
+						if v.IsKnown() {
+							known[i] |= 1 << uint(k)
+						}
+						if v == One {
+							val[i] |= 1 << uint(k)
+						}
+						if rng.Intn(2) == 1 {
+							bits[i] |= 1 << uint(k)
+						}
+					}
+				}
+				v3, k3 := g.EvalBits3(val, known)
+				v2 := g.EvalBits(bits)
+				if v3&^k3 != 0 {
+					return false
+				}
+				for k, in := range lanes {
+					got := X
+					if k3&(1<<uint(k)) != 0 {
+						got = FromBool(v3&(1<<uint(k)) != 0)
+					}
+					if got != g.Eval(in) {
+						return false
+					}
+					if typ == Dff {
+						continue // stored state: EvalBits has no two-valued image of X
+					}
+					two := make([]Value, n)
+					for i := range two {
+						two[i] = FromBool(bits[i]&(1<<uint(k)) != 0)
+					}
+					if FromBool(v2&(1<<uint(k)) != 0) != g.Eval(two) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickEvalBitsOverride: forcing a net's lanes while composing the
+// 64-way gate evaluators in level order — how the fault engine imposes a
+// faulty value at a site — behaves like the scalar override of
+// Circuit.Eval, lane by lane: two-valued lanes through Gate.EvalBits,
+// three-valued lanes (X inputs and X forced values) through Gate.EvalBits3.
+func TestQuickEvalBitsOverride(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := RandomCircuit(rng, RandomOptions{Inputs: 2 + rng.Intn(4), Gates: 2 + rng.Intn(20), Primitive: true})
+		site := c.Gates[rng.Intn(len(c.Gates))].Output
+		// Two-valued lanes in bits; three-valued lanes in dual rail.
+		bits := make(map[string]uint64)
+		val, known := make(map[string]uint64), make(map[string]uint64)
 		for _, in := range c.Inputs {
 			bits[in] = rng.Uint64()
+			known[in] = rng.Uint64() | rng.Uint64() // mostly known
+			val[in] = rng.Uint64() & known[in]
 		}
-		got := c.EvalBits(bits, nil, nil)
-		for k := 0; k < 64; k += 7 { // sample bit lanes
-			assign := make(map[string]Value, len(c.Inputs))
-			for _, in := range c.Inputs {
-				assign[in] = FromBool(bits[in]&(1<<k) != 0)
+		forced := rng.Uint64()
+		forcedKnown := rng.Uint64() | rng.Uint64()
+		forcedVal := rng.Uint64() & forcedKnown
+		var in2, inV, inK []uint64
+		for _, g := range c.Ordered() {
+			if g.Type == Dff {
+				continue // Q is a pseudo input; unassigned here, so X/0
 			}
-			vals := c.Eval(assign, nil)
+			in2, inV, inK = in2[:0], inV[:0], inK[:0]
+			for _, n := range g.Inputs {
+				in2, inV, inK = append(in2, bits[n]), append(inV, val[n]), append(inK, known[n])
+			}
+			bits[g.Output] = g.EvalBits(in2)
+			val[g.Output], known[g.Output] = g.EvalBits3(inV, inK)
+			if g.Output == site {
+				bits[site], val[site], known[site] = forced, forcedVal, forcedKnown
+			}
+		}
+		lane := func(v, k uint64, i int) Value {
+			if k&(1<<uint(i)) == 0 {
+				return X
+			}
+			return FromBool(v&(1<<uint(i)) != 0)
+		}
+		for i := 0; i < 64; i++ {
+			assign2, assign3 := make(map[string]Value), make(map[string]Value)
+			for _, in := range c.Inputs {
+				assign2[in] = FromBool(bits[in]&(1<<uint(i)) != 0)
+				assign3[in] = lane(val[in], known[in], i)
+			}
+			want2 := c.Eval(assign2, map[string]Value{site: FromBool(forced&(1<<uint(i)) != 0)})
+			want3 := c.Eval(assign3, map[string]Value{site: lane(forcedVal, forcedKnown, i)})
 			for _, out := range c.Outputs {
-				want := vals[out]
-				gotBit := FromBool(got[out]&(1<<k) != 0)
-				if want != gotBit {
+				if FromBool(bits[out]&(1<<uint(i)) != 0) != want2[out] {
+					return false
+				}
+				if lane(val[out], known[out], i) != want3[out] {
 					return false
 				}
 			}
@@ -401,39 +499,6 @@ func TestQuickRandomCircuitsValid(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickEvalBitsOverride: the bitwise override hook behaves like the
-// scalar override.
-func TestQuickEvalBitsOverride(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := RandomCircuit(rng, RandomOptions{Inputs: 2 + rng.Intn(4), Gates: 2 + rng.Intn(20), Primitive: true})
-		g := c.Gates[rng.Intn(len(c.Gates))]
-		bits := make(map[string]uint64)
-		for _, in := range c.Inputs {
-			bits[in] = rng.Uint64()
-		}
-		forced := rng.Uint64()
-		got := c.EvalBits(bits,
-			map[string]uint64{g.Output: ^uint64(0)},
-			map[string]uint64{g.Output: forced})
-		k := rng.Intn(64)
-		assign := make(map[string]Value)
-		for _, in := range c.Inputs {
-			assign[in] = FromBool(bits[in]&(1<<uint(k)) != 0)
-		}
-		vals := c.Eval(assign, map[string]Value{g.Output: FromBool(forced&(1<<uint(k)) != 0)})
-		for _, out := range c.Outputs {
-			if FromBool(got[out]&(1<<uint(k)) != 0) != vals[out] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,8 +16,7 @@
 // behind the Style enum (Enhanced, LOS, LOC) and shared Options:
 // GenerateTests / GenerateLOCTests for batches, Generate for one fault,
 // StyleCoverage for exhaustive pair-space grading. The older
-// constructor-centric spellings (New, Mode, PairSpace, GenerateTest,
-// ModeCoverage) remain as deprecated aliases delegating to the new API.
+// constructor New remains as a deprecated spelling of FromCircuit.
 package seq
 
 import (
@@ -145,18 +144,6 @@ const (
 	LOC                   // launch-on-capture (broadside): second state = the circuit's own next state
 )
 
-// Mode is the old name of Style.
-//
-// Deprecated: use Style.
-type Mode = Style
-
-// Deprecated aliases of the Style constants.
-const (
-	EnhancedScan    = Enhanced // Deprecated: use Enhanced.
-	LaunchOnShift   = LOS      // Deprecated: use LOS.
-	LaunchOnCapture = LOC      // Deprecated: use LOC.
-)
-
 // String implements fmt.Stringer.
 func (m Style) String() string {
 	switch m {
@@ -199,11 +186,6 @@ func (e *StyleError) Error() string {
 	}
 	return fmt.Sprintf("seq: unknown style %v", e.Style)
 }
-
-// ModeError is the old name of StyleError.
-//
-// Deprecated: use StyleError.
-type ModeError = StyleError
 
 // enumLimit caps the number of nets a full 0/1 enumeration may span.
 const enumLimit = 20
@@ -362,34 +344,6 @@ func shiftState(st State, scanIn logic.Value) State {
 	return next
 }
 
-// PairSpace enumerates every deliverable vector pair of one style.
-//
-// Deprecated: use EnumeratePairs.
-func (s *Circuit) PairSpace(mode Mode) ([]atpg.TwoPattern, error) {
-	return EnumeratePairs(s, mode)
-}
-
-// GenerateTest searches the style's pair space for a test of the core OBD
-// fault.
-//
-// Deprecated: use Generate, which also distinguishes search failures from
-// untestable verdicts through its error return.
-func (s *Circuit) GenerateTest(f fault.OBD, mode Mode) (*atpg.TwoPattern, atpg.Status) {
-	tp, st, err := Generate(s, f, mode, nil)
-	if err != nil {
-		return nil, atpg.Aborted
-	}
-	return tp, st
-}
-
-// ModeCoverage grades every OBD fault of the core against the full pair
-// space of one application style.
-//
-// Deprecated: use StyleCoverage.
-func (s *Circuit) ModeCoverage(mode Mode) (atpg.Coverage, error) {
-	return StyleCoverage(s, mode)
-}
-
 // StyleCoverage grades every OBD fault of the core against the full pair
 // space of one application style (exhaustive, via the bit-parallel fault
 // simulator).
@@ -402,7 +356,6 @@ func StyleCoverage(s *Circuit, style Style) (atpg.Coverage, error) {
 	pg := atpg.NewPairGrader(s.Core, space)
 	cov := atpg.Coverage{Total: len(faults)}
 	for _, f := range faults {
-		//obdcheck:allow paniccontract — EnumeratePairs bounds the space to maxPairSpaceBits, so PackPatterns' input-count precondition holds
 		if pg.Detects(f) {
 			cov.Detected++
 		} else {

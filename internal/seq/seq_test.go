@@ -56,9 +56,9 @@ func TestAccumulatorNextState(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	if EnhancedScan.String() != "enhanced-scan" ||
-		LaunchOnShift.String() != "launch-on-shift" ||
-		LaunchOnCapture.String() != "launch-on-capture" {
+	if Enhanced.String() != "enhanced-scan" ||
+		LOS.String() != "launch-on-shift" ||
+		LOC.String() != "launch-on-capture" {
 		t.Fatal("mode strings broken")
 	}
 }
@@ -69,21 +69,21 @@ func TestPairSpaceSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Core inputs: a0,a1,b0,b1,cin = 5 bits; PIs = 3.
-	es, err := s.PairSpace(EnhancedScan)
+	es, err := EnumeratePairs(s, Enhanced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(es) != 32*32 {
 		t.Fatalf("enhanced space %d, want 1024", len(es))
 	}
-	los, err := s.PairSpace(LaunchOnShift)
+	los, err := EnumeratePairs(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(los) != 32*2*8 {
 		t.Fatalf("LOS space %d, want 512", len(los))
 	}
-	loc, err := s.PairSpace(LaunchOnCapture)
+	loc, err := EnumeratePairs(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPairSpaceConstraints(t *testing.T) {
 	}
 	// Every LOC pair's second state must equal the next-state function of
 	// the first vector.
-	loc, err := s.PairSpace(LaunchOnCapture)
+	loc, err := EnumeratePairs(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPairSpaceConstraints(t *testing.T) {
 		}
 	}
 	// Every LOS pair's second state must be a shift of the first.
-	los, err := s.PairSpace(LaunchOnShift)
+	los, err := EnumeratePairs(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +141,15 @@ func TestModeCoverageOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enh, err := s.ModeCoverage(EnhancedScan)
+	enh, err := StyleCoverage(s, Enhanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	los, err := s.ModeCoverage(LaunchOnShift)
+	los, err := StyleCoverage(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := s.ModeCoverage(LaunchOnCapture)
+	loc, err := StyleCoverage(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,13 @@ func TestGenerateTestDetects(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(s.Core)
-	for _, mode := range []Mode{EnhancedScan, LaunchOnShift, LaunchOnCapture} {
+	for _, mode := range []Style{Enhanced, LOS, LOC} {
 		for k := 0; k < 6; k++ {
 			f := faults[k*len(faults)/6]
-			tp, st := s.GenerateTest(f, mode)
+			tp, st, err := Generate(s, f, mode, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if st != atpg.Detected {
 				continue
 			}
@@ -187,7 +190,7 @@ func TestPairSpaceTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PairSpace(EnhancedScan); err == nil {
+	if _, err := EnumeratePairs(s, Enhanced); err == nil {
 		t.Fatal("oversized space accepted")
 	}
 }
