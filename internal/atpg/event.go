@@ -39,9 +39,14 @@ import (
 // that are not part of the circuit (synthetic gates used by local
 // analyses) are graded pair by pair with the scalar DetectsOBD oracle.
 type PairGrader struct {
-	c     *logic.Circuit
-	idx   *logic.Index
+	c   *logic.Circuit
+	idx *logic.Index
+	n   int // pairs graded
+
+	// tests holds NewPairGrader's pairs; pair materializes the pairs of a
+	// word-built grader on demand (see pairAt).
 	tests []TwoPattern
+	pair  func(i int) TwoPattern
 
 	blocks   []eventBlock
 	complete bool // every block complete: enables single-rail math and fault collapsing
@@ -117,28 +122,78 @@ func (sc *eventScratch) begin() {
 	sc.touched = sc.touched[:0]
 }
 
-// NewPairGrader packs vector pairs into 64-wide blocks over the circuit's
-// levelization index and evaluates both good-machine frames per block.
-// The circuit must validate (grading entry points check first).
-func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
+// newGrader is the setup both constructors share: the circuit's index,
+// the per-worker scratch pool and the per-gate transistor networks. The
+// caller appends the blocks.
+func newGrader(c *logic.Circuit, n int) *PairGrader {
 	idx := c.Index()
-	pg := &PairGrader{c: c, idx: idx, tests: tests, complete: true}
+	pg := &PairGrader{c: c, idx: idx, n: n, complete: true}
 	pg.scratch.New = func() any { return newEventScratch(idx) }
 	pg.nets = make([]fault.Networks, len(idx.Gates))
 	pg.netsOK = make([]bool, len(idx.Gates))
 	for gi, g := range idx.Gates {
 		pg.nets[gi], pg.netsOK[gi] = fault.GateNetworks(g.Type, len(idx.GateIn[gi]))
 	}
+	return pg
+}
+
+// NewPairGrader packs vector pairs into 64-wide blocks over the circuit's
+// levelization index and evaluates both good-machine frames per block.
+// The circuit must validate (grading entry points check first).
+func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
+	pg := newGrader(c, len(tests))
+	pg.tests = tests
 	for start := 0; start < len(tests); start += 64 {
 		end := start + 64
 		if end > len(tests) {
 			end = len(tests)
 		}
-		b := packEventBlock(idx, tests[start:end])
+		b := packEventBlock(pg.idx, tests[start:end])
 		pg.complete = pg.complete && b.complete
 		pg.blocks = append(pg.blocks, b)
 	}
 	return pg
+}
+
+// NewPairGraderWords builds a grader over n complete vector pairs supplied
+// as packed input words rather than pattern maps — the form a search over
+// a structured launch space produces without materializing its pairs.
+// Lane k of block b is pair b*64+k; lanes at and past n are ignored. For
+// each block, frame1 writes the frame-1 input words into g1 (indexed by
+// net ID; only the circuit's input IDs are read). frame2 then writes the
+// frame-2 input words into g2 while g1 holds every net's evaluated
+// frame-1 word, so a second-frame input may be any first-frame net (a
+// launch-on-capture state bit is the word of its flip-flop's D net).
+// pair(i) materializes pair i; FirstDetecting and CountDetecting call it
+// only for faults on gates outside the circuit, which they grade with
+// DetectsOBD. The circuit must validate.
+func NewPairGraderWords(c *logic.Circuit, n int, frame1 func(b int, g1 []uint64), frame2 func(b int, g1, g2 []uint64), pair func(i int) TwoPattern) *PairGrader {
+	pg := newGrader(c, n)
+	pg.pair = pair
+	nb, nv := (n+63)/64, pg.idx.NumNets()
+	words := make([]uint64, 2*nv*nb)
+	pg.blocks = make([]eventBlock, nb)
+	for bi := range pg.blocks {
+		b := &pg.blocks[bi]
+		b.n, b.complete = 64, true
+		if rest := n - bi*64; rest < 64 {
+			b.n = rest
+		}
+		b.g1v, b.g2v = words[2*nv*bi:][:nv], words[2*nv*bi+nv:][:nv]
+		frame1(bi, b.g1v)
+		forwardEval2(pg.idx, b.g1v)
+		frame2(bi, b.g1v, b.g2v)
+		forwardEval2(pg.idx, b.g2v)
+	}
+	return pg
+}
+
+// pairAt returns pair i of the graded set.
+func (pg *PairGrader) pairAt(i int) TwoPattern {
+	if pg.pair != nil {
+		return pg.pair(i)
+	}
+	return pg.tests[i]
 }
 
 // Complete reports whether every pattern of every pair assigns every
@@ -239,8 +294,8 @@ func (pg *PairGrader) Detects(f fault.OBD) bool {
 func (pg *PairGrader) FirstDetecting(f fault.OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
 	if gp < 0 {
-		for ti, tp := range pg.tests {
-			if DetectsOBD(pg.c, f, tp) {
+		for ti := 0; ti < pg.n; ti++ {
+			if DetectsOBD(pg.c, f, pg.pairAt(ti)) {
 				return ti
 			}
 		}
@@ -263,8 +318,8 @@ func (pg *PairGrader) CountDetecting(f fault.OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
 	n := 0
 	if gp < 0 {
-		for _, tp := range pg.tests {
-			if DetectsOBD(pg.c, f, tp) {
+		for ti := 0; ti < pg.n; ti++ {
+			if DetectsOBD(pg.c, f, pg.pairAt(ti)) {
 				n++
 			}
 		}

@@ -369,3 +369,84 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 		t.Fatalf("detectMaskEvent allocated %v times per full-universe grade, want 0", allocs)
 	}
 }
+
+// TestPairGraderWordsMatchesPairs: a grader built from packed input words
+// grades exactly like NewPairGrader over the same pairs materialized as
+// patterns. Every fault of the universe must get equal FirstDetecting and
+// CountDetecting from both, and so must a foreign copy of the fault on
+// the words grader, which takes the DetectsOBD fallback through its pair
+// materializer (a copy names the same nets as the original, see
+// TestEventGraderBitIdenticalToSweep). Some frame-2 inputs
+// are copied from a frame-1 net word (how a launch-on-capture state is
+// derived), so the words grader must hand frame2 the evaluated frame 1.
+func TestPairGraderWordsMatchesPairs(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 2 + rng.Intn(5), Gates: 2 + rng.Intn(24), Primitive: seed%2 == 0})
+		x := c.Index()
+		n := 1 + rng.Intn(200)
+		// src[i] >= 0: frame-2 input i carries frame-1 net src[i].
+		src := make([]int, len(c.Inputs))
+		for i := range src {
+			src[i] = -1
+			if rng.Intn(2) == 0 {
+				src[i] = rng.Intn(x.NumNets())
+			}
+		}
+		tests := completeRandomTests(rng, c, n)
+		for k := range tests {
+			g1 := c.Eval(tests[k].V1, nil)
+			for i, in := range c.Inputs {
+				if src[i] >= 0 {
+					tests[k].V2[in] = g1[x.NetNames[src[i]]]
+				}
+			}
+		}
+		pack := func(b int, net string, frame func(tp TwoPattern) Pattern) uint64 {
+			var w uint64
+			for k := 0; k < 64 && b*64+k < n; k++ {
+				if frame(tests[b*64+k])[net] == logic.One {
+					w |= 1 << uint(k)
+				}
+			}
+			return w
+		}
+		v1 := func(tp TwoPattern) Pattern { return tp.V1 }
+		v2 := func(tp TwoPattern) Pattern { return tp.V2 }
+		frame1 := func(b int, g1 []uint64) {
+			for i, id := range x.InputIDs {
+				g1[id] = pack(b, c.Inputs[i], v1)
+			}
+		}
+		frame2 := func(b int, g1, g2 []uint64) {
+			for i, id := range x.InputIDs {
+				if src[i] >= 0 {
+					g2[id] = g1[src[i]]
+				} else {
+					g2[id] = pack(b, c.Inputs[i], v2)
+				}
+			}
+		}
+		pw := NewPairGraderWords(c, n, frame1, frame2, func(i int) TwoPattern { return tests[i] })
+		pp := NewPairGrader(c, tests)
+		if !pw.Complete() {
+			t.Fatalf("seed %d: words grader reported incomplete", seed)
+		}
+		faults, _ := fault.OBDUniverse(c)
+		for _, f := range faults {
+			g := *f.Gate
+			foreign := f
+			foreign.Gate = &g
+			first, count := pp.FirstDetecting(f), pp.CountDetecting(f)
+			for _, h := range []fault.OBD{f, foreign} {
+				if got := pw.FirstDetecting(h); got != first {
+					t.Fatalf("seed %d fault %v: FirstDetecting words %d pairs %d", seed, h, got, first)
+				}
+				if got := pw.CountDetecting(h); got != count {
+					t.Fatalf("seed %d fault %v: CountDetecting words %d pairs %d", seed, h, got, count)
+				}
+			}
+		}
+	}
+}

@@ -15,7 +15,14 @@
 // combinational ATPG/SAT stack runs unchanged. Test generation is unified
 // behind the Style enum (Enhanced, LOS, LOC) and shared Options:
 // GenerateTests / GenerateLOCTests for batches, Generate for one fault,
-// StyleCoverage for exhaustive pair-space grading. The older
+// StyleCoverage for exhaustive pair-space grading. All of them run one
+// search (generate.go): a style's launch space is packed 64 pairs per
+// machine word straight into the core's input words — a LOS state is the
+// shifted frame-1 state word, a LOC state the evaluated frame-1 word of
+// its flip-flop's D net — and graded chunk by chunk on the atpg package's
+// event-driven engine, with fault dropping; no pair is built as a pattern
+// map unless it is returned as a test. EnumeratePairs, which does
+// materialize a space, remains as the small-circuit oracle. The older
 // constructor New remains as a deprecated spelling of FromCircuit.
 package seq
 
@@ -221,8 +228,9 @@ func enumPatterns(nets []string) ([]atpg.Pattern, error) {
 // maxPairSpaceBits bounds the enumerated pair spaces.
 const maxPairSpaceBits = 18
 
-// SpaceLimitError is a typed EnumeratePairs failure: the style's pair
-// space needs more bits than maxPairSpaceBits allows to enumerate.
+// SpaceLimitError is a typed EnumeratePairs or StyleCoverage failure: the
+// style's pair space needs more bits than maxPairSpaceBits allows to
+// enumerate.
 type SpaceLimitError struct {
 	Mode  Style
 	Bits  int // bits the space would span
@@ -251,7 +259,9 @@ func styleBits(s *Circuit, style Style) (int, error) {
 
 // EnumeratePairs enumerates every vector pair the application style can
 // deliver to the combinational core. The total search space must stay
-// within maxPairSpaceBits bits.
+// within maxPairSpaceBits bits. The generation search never materializes
+// a space; this is the small-circuit oracle its pair-space tests check
+// against.
 func EnumeratePairs(s *Circuit, style Style) ([]atpg.TwoPattern, error) {
 	bits, err := styleBits(s, style)
 	if err != nil {
@@ -345,22 +355,20 @@ func shiftState(st State, scanIn logic.Value) State {
 }
 
 // StyleCoverage grades every OBD fault of the core against the full pair
-// space of one application style (exhaustive, via the bit-parallel fault
-// simulator).
+// space of one application style: the generation search in its
+// exhaustive regime, for spaces of up to maxPairSpaceBits free bits.
 func StyleCoverage(s *Circuit, style Style) (atpg.Coverage, error) {
-	space, err := EnumeratePairs(s, style)
+	bits, err := styleBits(s, style)
 	if err != nil {
 		return atpg.Coverage{}, err
 	}
-	faults, _ := fault.OBDUniverse(s.Core)
-	pg := atpg.NewPairGrader(s.Core, space)
-	cov := atpg.Coverage{Total: len(faults)}
-	for _, f := range faults {
-		if pg.Detects(f) {
-			cov.Detected++
-		} else {
-			cov.Undetected = append(cov.Undetected, f.String())
-		}
+	if bits > maxPairSpaceBits {
+		return atpg.Coverage{}, &SpaceLimitError{Mode: style, Bits: bits, Limit: maxPairSpaceBits}
 	}
-	return cov, nil
+	faults, _ := fault.OBDUniverse(s.Core)
+	res, err := search(atpg.DefaultScheduler(), s, faults, style, &Options{ExhaustiveMaxIn: maxPairSpaceBits})
+	if err != nil {
+		return atpg.Coverage{}, err
+	}
+	return res.Coverage, nil
 }
