@@ -19,7 +19,10 @@
 // A DFF-bearing netlist needs -style: the circuit is lifted into its scan
 // model (internal/seq) and OBD tests are generated for the combinational
 // core under the chosen scan discipline — enhanced (arbitrary pairs), los
-// (launch-on-shift) or loc (launch-on-capture/broadside).
+// (launch-on-shift) or loc (launch-on-capture/broadside). -style generates
+// OBD tests only, so any -model other than obd is a usage error. -model los
+// runs launch-on-shift on a combinational circuit whose inputs are all scan
+// cells, chained in declaration order (seq.InputChain).
 package main
 
 import (
@@ -45,7 +48,7 @@ func main() {
 		randFFs   = flag.Int("random-ffs", 0, "flip-flop count for -random-gates (makes the circuit sequential)")
 		randSeed  = flag.Int64("random-seed", 1, "generator seed for -random-gates")
 		model     = flag.String("model", "obd", "fault model: obd, transition, stuckat, ndetect, los, bist")
-		style     = flag.String("style", "", "scan style for sequential circuits: enhanced, los, loc (lifts the netlist into its scan model and targets the combinational core's OBD universe)")
+		style     = flag.String("style", "", "scan style for sequential circuits: enhanced, los, loc (lifts the netlist into its scan model and targets the combinational core's OBD universe; -model must be obd)")
 		nDetect   = flag.Int("n", 3, "detection multiplicity for -model ndetect")
 		cycles    = flag.Int("cycles", 256, "stream length for -model bist")
 		gradeOBD  = flag.Bool("grade-obd", false, "also grade the generated set against the OBD universe")
@@ -62,6 +65,10 @@ func main() {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "obdatpg:", err)
 		os.Exit(1)
+	}
+	if *style != "" && *model != "obd" {
+		fmt.Fprintf(os.Stderr, "obdatpg: -style generates OBD tests; it cannot be combined with -model %s\n", *model)
+		os.Exit(2)
 	}
 	sched := atpg.NewScheduler(*workers)
 	sched.CollectStats = *stats
@@ -113,12 +120,18 @@ func main() {
 	}
 
 	var pairs []atpg.TwoPattern
-	if *style != "" {
-		st, err := seq.ParseStyle(*style)
-		if err != nil {
-			die(err)
+	if *style != "" || *model == "los" {
+		st := seq.LOS
+		var s *seq.Circuit
+		var err error
+		if *style != "" {
+			if st, err = seq.ParseStyle(*style); err != nil {
+				die(err)
+			}
+			s, err = seq.FromCircuit(lc)
+		} else {
+			s, err = seq.InputChain(lc)
 		}
-		s, err := seq.FromCircuit(lc)
 		if err != nil {
 			die(err)
 		}
@@ -182,24 +195,6 @@ func main() {
 			}
 			pairs = ts.Tests
 			report2(lc, ts, *verbose)
-		case "los":
-			faults, _ := fault.OBDUniverse(lc)
-			res, err := atpg.GenerateLOSTests(lc, faults, nil)
-			if err != nil {
-				die(err)
-			}
-			pairs = res.Tests
-			exact := ""
-			if res.Exact {
-				exact = " (exact)"
-			}
-			fmt.Printf("generated %d launch-on-shift pairs, coverage %s%s\n",
-				len(res.Tests), res.Coverage, exact)
-			if *verbose {
-				for _, tp := range res.Tests {
-					fmt.Println("  " + tp.StringFor(lc))
-				}
-			}
 		case "bist":
 			faults, _ := fault.OBDUniverse(lc)
 			s, err := bist.NewSession(lc, 0xACE1, *cycles)

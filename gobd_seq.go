@@ -69,11 +69,4 @@ var (
 	GenerateLOCTests = seq.GenerateLOCTests
 	// Accumulator builds the n-bit accumulator testbed.
 	Accumulator = seq.Accumulator
-
-	// NewSeqCircuit wraps a combinational core with a scan chain.
-	//
-	// Deprecated: use ScanFromCircuit on a DFF-bearing netlist, or
-	// ScanInsert followed by ScanFromCircuit to round-trip an explicit
-	// chain.
-	NewSeqCircuit = seq.New
 )

@@ -49,7 +49,7 @@ type PairGrader struct {
 	pair  func(i int) TwoPattern
 
 	blocks   []eventBlock
-	complete bool // every block complete: enables single-rail math and fault collapsing
+	complete bool // every block complete: enables single-rail math
 
 	// nets caches GateNetworks per gate position (valid where netsOK):
 	// building the series-parallel trees per graded fault would be the

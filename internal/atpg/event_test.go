@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,9 +133,25 @@ func TestEventGraderMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGradeOBDCollapseEquivalence: collapsed grading fans class verdicts
-// out to exactly the per-site Coverage of the uncollapsed run, the scalar
-// reference, for every worker count, on complete and partial sets alike.
+// fanOutGrade grades the representative of every CollapseOBDComplete
+// class on one PairGrader and copies its verdict to every member.
+func fanOutGrade(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) Coverage {
+	pg := NewPairGrader(c, tests)
+	det := make([]bool, len(faults))
+	for _, cl := range netcheck.CollapseOBDComplete(c, faults) {
+		hit := pg.Detects(faults[cl[0]])
+		for _, fi := range cl {
+			det[fi] = hit
+		}
+	}
+	return mergeCoverage(det, func(i int) string { return faults[i].String() })
+}
+
+// TestGradeOBDCollapseEquivalence: on complete sets, the representative
+// verdicts fanned out over the CollapseOBDComplete classes equal the
+// per-site Coverage of Scheduler.GradeOBD, for every worker count, and
+// of the scalar reference. Partial sets, where the chain equivalence does
+// not hold, are graded per site alike.
 func TestGradeOBDCollapseEquivalence(t *testing.T) {
 	circuits := 0
 	for seed := int64(0); circuits < 24; seed++ {
@@ -158,17 +173,15 @@ func TestGradeOBDCollapseEquivalence(t *testing.T) {
 				tests = randomTests(rng, c, 1+rng.Intn(120))
 			}
 			want := GradeOBD(c, faults, tests)
-			for _, w := range sweepWorkers {
-				s := NewScheduler(w)
-				collapsed := must(s.gradeOBD(context.Background(), c, faults, tests, true))
-				plain := must(s.gradeOBD(context.Background(), c, faults, tests, false))
-				if !reflect.DeepEqual(collapsed, want) {
-					t.Fatalf("seed %d workers %d complete=%v: collapsed %+v, scalar %+v",
-						seed, w, complete, collapsed, want)
+			if complete {
+				if fanned := fanOutGrade(c, faults, tests); !reflect.DeepEqual(fanned, want) {
+					t.Fatalf("seed %d: class fan-out %+v, scalar %+v", seed, fanned, want)
 				}
-				if !reflect.DeepEqual(plain, want) {
-					t.Fatalf("seed %d workers %d complete=%v: uncollapsed %+v, scalar %+v",
-						seed, w, complete, plain, want)
+			}
+			for _, w := range sweepWorkers {
+				if got := must(NewScheduler(w).GradeOBD(c, faults, tests)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d workers %d complete=%v: GradeOBD %+v, scalar %+v",
+						seed, w, complete, got, want)
 				}
 			}
 		}
@@ -213,8 +226,9 @@ func TestCollapseClassesShareVerdicts(t *testing.T) {
 // canonical chain NAND → INV → INV → PO: the series NMOS pair of the NAND
 // merges with the first inverter's pull-up and the second inverter's
 // pull-down, the complementary inverter sides merge with each other, and
-// the parallel PMOS defects stay distinct — 4 classes from 8 sites. The
-// collapsed exhaustive grade equals the uncollapsed one.
+// the parallel PMOS defects stay distinct — 4 classes from 8 sites. Over
+// the exhaustive complete pairs, the class fan-out equals GradeOBD and the
+// scalar reference.
 func TestCollapseChainHandcrafted(t *testing.T) {
 	c := logic.New("chain")
 	for _, in := range []string{"a", "b"} {
@@ -259,7 +273,7 @@ func TestCollapseChainHandcrafted(t *testing.T) {
 		t.Fatalf("chain classes not formed as expected: %v", sets)
 	}
 
-	// Exhaustive complete pairs: collapsed and uncollapsed grades agree.
+	// Exhaustive complete pairs: the class fan-out agrees with per-site grading.
 	var tests []TwoPattern
 	for m1 := 0; m1 < 4; m1++ {
 		for m2 := 0; m2 < 4; m2++ {
@@ -269,19 +283,17 @@ func TestCollapseChainHandcrafted(t *testing.T) {
 			})
 		}
 	}
-	s := NewScheduler(1)
-	collapsed := must(s.gradeOBD(context.Background(), c, faults, tests, true))
-	plain := must(s.gradeOBD(context.Background(), c, faults, tests, false))
-	if !reflect.DeepEqual(collapsed, plain) {
-		t.Fatalf("collapsed %+v, uncollapsed %+v", collapsed, plain)
+	fanned := fanOutGrade(c, faults, tests)
+	if got := must(NewScheduler(1).GradeOBD(c, faults, tests)); !reflect.DeepEqual(fanned, got) {
+		t.Fatalf("class fan-out %+v, GradeOBD %+v", fanned, got)
 	}
-	if !reflect.DeepEqual(collapsed, GradeOBD(c, faults, tests)) {
-		t.Fatalf("collapsed grade diverges from scalar reference")
+	if !reflect.DeepEqual(fanned, GradeOBD(c, faults, tests)) {
+		t.Fatalf("class fan-out diverges from scalar reference")
 	}
 }
 
 // TestPairGraderCompleteGate: X-bearing or unassigned lanes must demote
-// the grader to dual-rail and keep collapsing out of GradeOBD.
+// the grader to dual-rail.
 func TestPairGraderCompleteGate(t *testing.T) {
 	c := logic.C17()
 	rng := rand.New(rand.NewSource(7))

@@ -9,63 +9,6 @@ import (
 	"gobd/internal/logic"
 )
 
-func TestShiftPattern(t *testing.T) {
-	c := mustCircuit(t, "circuit g\ninput a b c\noutput y\nnand g1 n1 a b\nnand g2 y n1 c\n")
-	v1 := Pattern{"a": logic.One, "b": logic.Zero, "c": logic.One}
-	v2 := ShiftPattern(c, v1, logic.Zero)
-	// Chain order a, b, c: scan-in enters a; a's old value moves to b; etc.
-	if v2["a"] != logic.Zero || v2["b"] != logic.One || v2["c"] != logic.Zero {
-		t.Fatalf("shifted pattern %v", v2)
-	}
-}
-
-func TestLOSRespectsShiftConstraint(t *testing.T) {
-	c := mustCircuit(t, "circuit g\ninput a b\noutput y\nnand g1 y a b\n")
-	faults, _ := fault.OBDUniverse(c)
-	for _, f := range faults {
-		tp, st := GenerateLOSTest(c, f, nil)
-		if st != Detected {
-			continue
-		}
-		want := ShiftPattern(c, tp.V1, tp.V2[c.Inputs[0]])
-		for _, in := range c.Inputs {
-			if tp.V2[in] != want[in] {
-				t.Fatalf("%s: LOS pair %s violates shift constraint", f, tp.StringFor(c))
-			}
-		}
-		if !DetectsOBD(c, f, *tp) {
-			t.Fatalf("%s: LOS pair does not detect", f)
-		}
-	}
-}
-
-// TestLOSWeakerThanEnhancedScan: for the 2-input NAND, LOS cannot reach
-// the PMOS@b test (11,10): shifting (1,1) gives (s,1), never (1,0) — so
-// enhanced scan covers strictly more.
-func TestLOSWeakerThanEnhancedScan(t *testing.T) {
-	c := mustCircuit(t, "circuit g\ninput a b\noutput y\nnand g1 y a b\n")
-	faults, _ := fault.OBDUniverse(c)
-	los := must(GenerateLOSTests(c, faults, nil))
-	if !los.Exact {
-		t.Fatal("search should be exhaustive at 2 inputs")
-	}
-	enh := must(GenerateOBDTests(c, faults, nil))
-	if los.Coverage.Detected >= enh.Coverage.Detected {
-		t.Fatalf("LOS %v should be strictly below enhanced scan %v", los.Coverage, enh.Coverage)
-	}
-	// The specific gap: (11,10) requires v2 = shift(v1, s) with v2=(1,0),
-	// i.e. v1 starts with b-position value 0... verify PMOS@b is missed.
-	missed := false
-	for _, u := range los.Coverage.Undetected {
-		if u == "g1/PMOS@b" {
-			missed = true
-		}
-	}
-	if !missed {
-		t.Fatalf("expected g1/PMOS@b missed, undetected=%v", los.Coverage.Undetected)
-	}
-}
-
 func TestGradeOBDParallelMatchesOnFullAdderTests(t *testing.T) {
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
@@ -122,32 +65,6 @@ func TestQuickParallelMatchesScalar(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickLOSSubsetOfUnconstrained: any LOS-detected fault is detectable
-// by the unconstrained generator too.
-func TestQuickLOSSubsetOfUnconstrained(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := logic.RandomCircuit(rng, logic.RandomOptions{Inputs: 2 + rng.Intn(3), Gates: 1 + rng.Intn(8), Primitive: true})
-		faults, _ := fault.OBDUniverse(c)
-		if len(faults) == 0 {
-			return true
-		}
-		fl := faults[rng.Intn(len(faults))]
-		tp, st := GenerateLOSTest(c, fl, nil)
-		if st != Detected {
-			return true
-		}
-		if !DetectsOBD(c, fl, *tp) {
-			return false
-		}
-		_, st2 := GenerateOBDTest(c, fl, nil)
-		return st2 == Detected
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"gobd/internal/fault"
 	"gobd/internal/logic"
-	"gobd/internal/netcheck"
 )
 
 // This file is the goroutine-parallel driver layer over the scalar and
@@ -320,10 +319,7 @@ func mergeCoverage(det []bool, name func(i int) string) Coverage {
 // GradeOBD fault-simulates a test set against an OBD fault list with the
 // levelized event-driven 64-way engine sharded across the pool. The
 // Coverage — including the order of Undetected — is identical to the
-// scalar GradeOBD for any worker count. On complete test sets,
-// collapsed-equivalent fault sites are graded once through a class
-// representative and the verdict fanned back out (an exact, not
-// approximate, sharing — see netcheck.CollapseOBDComplete).
+// scalar GradeOBD for any worker count.
 func (s *Scheduler) GradeOBD(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) (Coverage, error) {
 	return s.GradeOBDCtx(context.Background(), c, faults, tests)
 }
@@ -332,18 +328,11 @@ func (s *Scheduler) GradeOBD(c *logic.Circuit, faults []fault.OBD, tests []TwoPa
 // cancelled before the grade completes, ctx's error is returned and the
 // Coverage is zero — a partial grade would silently understate coverage,
 // so none is reported. A completed grade is bit-identical to GradeOBD.
+// Every fault is graded on one shared PairGrader and writes only its own
+// verdict slot, so the determinism contract holds for any worker count;
+// Pairs counts the pair simulations run up to each fault's first
+// detecting pair.
 func (s *Scheduler) GradeOBDCtx(ctx context.Context, c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) (Coverage, error) {
-	return s.gradeOBD(ctx, c, faults, tests, true)
-}
-
-// gradeOBD is the shared GradeOBD implementation. collapse gates the
-// fault-collapsing fast path (the equivalence tests exercise both arms);
-// it only ever engages on complete test sets, where class equivalence is
-// exact per pair. Work sharding is per class, and every class writes only
-// its own members' verdict slots, so the determinism contract holds for
-// any worker count. Items counts every fault settled; Pairs counts the
-// pair simulations actually run (collapsing makes the two diverge).
-func (s *Scheduler) gradeOBD(ctx context.Context, c *logic.Circuit, faults []fault.OBD, tests []TwoPattern, collapse bool) (Coverage, error) {
 	if err := ensureValid(c); err != nil {
 		return Coverage{}, err
 	}
@@ -351,26 +340,13 @@ func (s *Scheduler) gradeOBD(ctx context.Context, c *logic.Circuit, faults []fau
 		return Coverage{Total: 0}, nil
 	}
 	pg := NewPairGrader(c, tests)
-	classes := [][]int(nil)
-	if collapse && pg.Complete() && len(faults) > 1 {
-		classes = netcheck.CollapseOBDComplete(c, faults)
-	} else {
-		classes = make([][]int, len(faults))
-		for i := range faults {
-			classes[i] = []int{i}
-		}
-	}
 	det := make([]bool, len(faults))
-	err := s.runCtx(ctx, len(classes), gradeGrain(len(classes), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for ci := lo; ci < hi; ci++ {
-			cl := classes[ci]
-			idx := pg.FirstDetecting(faults[cl[0]])
-			hit := idx >= 0
-			for _, fi := range cl {
-				det[fi] = hit
-			}
-			ws.Items += int64(len(cl))
-			if hit {
+	err := s.runCtx(ctx, len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
+		for i := lo; i < hi; i++ {
+			idx := pg.FirstDetecting(faults[i])
+			det[i] = idx >= 0
+			ws.Items++
+			if det[i] {
 				ws.Pairs += int64(idx + 1)
 			} else {
 				ws.Pairs += int64(len(tests))
@@ -616,57 +592,4 @@ func (s *Scheduler) GenerateStuckAtTests(c *logic.Circuit, faults []fault.StuckA
 // The commit loop lives in ResumeStuckAtTestsCtx (resume.go).
 func (s *Scheduler) GenerateStuckAtTestsCtx(ctx context.Context, c *logic.Circuit, faults []fault.StuckAt, opt *Options) (*StuckAtTestSet, error) {
 	return s.ResumeStuckAtTestsCtx(ctx, c, faults, opt, nil, len(faults))
-}
-
-// GenerateLOSTests runs the launch-on-shift generator over a fault list
-// with fault dropping, speculating across the pool, and grades the final
-// set with the bit-parallel engine. Deterministic for any worker count.
-func (s *Scheduler) GenerateLOSTests(c *logic.Circuit, faults []fault.OBD, opt *LOSOptions) (*LOSResult, error) {
-	return s.GenerateLOSTestsCtx(context.Background(), c, faults, opt)
-}
-
-// GenerateLOSTestsCtx is GenerateLOSTests with cooperative cancellation
-// (see GenerateOBDTestsCtx for the partial-result contract).
-func (s *Scheduler) GenerateLOSTestsCtx(ctx context.Context, c *logic.Circuit, faults []fault.OBD, opt *LOSOptions) (*LOSResult, error) {
-	if opt == nil {
-		opt = DefaultLOSOptions()
-	}
-	if err := ensureValid(c); err != nil {
-		return nil, err
-	}
-	n := len(faults)
-	out := &LOSResult{Exact: len(c.Inputs) <= opt.ExhaustiveMaxIn}
-	covered := make([]bool, n)
-	done := make([]bool, n)
-	specTP := make([]*TwoPattern, n)
-	specSt := make([]Status, n)
-	batch := genBatch(s.WorkerCount())
-	for i := range faults {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if covered[i] {
-			continue
-		}
-		if !done[i] {
-			s.speculate(ctx, i, batch, covered, done, func(j int) {
-				specTP[j], specSt[j] = GenerateLOSTest(c, faults[j], opt)
-			})
-			if !done[i] {
-				return out, ctx.Err()
-			}
-		}
-		if specSt[i] != Detected {
-			continue
-		}
-		tp := *specTP[i]
-		out.Tests = append(out.Tests, tp)
-		drop(ctx, s, faults, covered, i, obdGrader(c)([]TwoPattern{tp}))
-	}
-	cov, err := s.GradeOBDCtx(ctx, c, faults, out.Tests)
-	if err != nil {
-		return out, err
-	}
-	out.Coverage = cov
-	return out, nil
 }

@@ -164,16 +164,12 @@ func TestWorkerSweepGeneration(t *testing.T) {
 		}
 		trWant := must(NewScheduler(1).GenerateTransitionTests(c, fault.TransitionUniverse(c), nil))
 		saWant := must(NewScheduler(1).GenerateStuckAtTests(c, fault.StuckAtUniverse(c), nil))
-		losWant := must(NewScheduler(1).GenerateLOSTests(c, obdFaults, nil))
 		for _, w := range sweepWorkers[1:] {
 			if got := must(NewScheduler(w).GenerateTransitionTests(c, fault.TransitionUniverse(c), nil)); !reflect.DeepEqual(got, trWant) {
 				t.Fatalf("seed %d workers %d: transition generation diverged", seed, w)
 			}
 			if got := must(NewScheduler(w).GenerateStuckAtTests(c, fault.StuckAtUniverse(c), nil)); !reflect.DeepEqual(got, saWant) {
 				t.Fatalf("seed %d workers %d: stuck-at generation diverged", seed, w)
-			}
-			if got := must(NewScheduler(w).GenerateLOSTests(c, obdFaults, nil)); !reflect.DeepEqual(got, losWant) {
-				t.Fatalf("seed %d workers %d: LOS generation diverged", seed, w)
 			}
 		}
 	}

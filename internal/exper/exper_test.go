@@ -233,6 +233,8 @@ func TestCaptureSweep(t *testing.T) {
 	t.Log("\n" + cs.Format())
 }
 
+// TestScanComparison pins the EXPERIMENTS.md Section 5 table: enhanced
+// and launch-on-shift coverage per circuit, every LOS verdict exact.
 func TestScanComparison(t *testing.T) {
 	s, err := RunScanComparison()
 	if err != nil {
@@ -240,6 +242,26 @@ func TestScanComparison(t *testing.T) {
 	}
 	if bad := s.Check(); len(bad) != 0 {
 		t.Errorf("violations: %v\n%s", bad, s.Format())
+	}
+	want := []struct {
+		name            string
+		total, enh, los int
+	}{
+		{"fulladder_sum", 78, 65, 52},
+		{"c17", 24, 24, 21},
+		{"parity4", 48, 48, 42},
+		{"mux41", 60, 60, 52},
+	}
+	if len(s.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d\n%s", len(s.Rows), len(want), s.Format())
+	}
+	for i, w := range want {
+		r := s.Rows[i]
+		if r.Name != w.name || r.Universe != w.total || r.Enhanced.Total != w.total || r.LOS.Total != w.total ||
+			r.Enhanced.Detected != w.enh || r.LOS.Detected != w.los || !r.LOSExact {
+			t.Errorf("row %d: %s %d faults, enhanced %v, LOS %v exact=%v; want %s %d/%d enhanced, %d/%d LOS exact",
+				i, r.Name, r.Universe, r.Enhanced, r.LOS, r.LOSExact, w.name, w.enh, w.total, w.los, w.total)
+		}
 	}
 	t.Log("\n" + s.Format())
 }

@@ -8,17 +8,16 @@ import (
 	"gobd/internal/cells"
 	"gobd/internal/fault"
 	"gobd/internal/logic"
+	"gobd/internal/seq"
 )
 
 // ScanRow is one circuit's entry in the DFT comparison.
 type ScanRow struct {
-	Name       string
-	Universe   int
-	Enhanced   atpg.Coverage // unconstrained vector pairs (enhanced scan)
-	LOS        atpg.Coverage // launch-on-shift constrained pairs
-	LOSExact   bool
-	LOSVectors int
-	EnhVectors int
+	Name     string
+	Universe int
+	Enhanced atpg.Coverage // unconstrained vector pairs (enhanced scan)
+	LOS      atpg.Coverage // launch-on-shift constrained pairs
+	LOSExact bool
 }
 
 // ScanComparison reproduces the paper's Section 5 DFT remark
@@ -41,7 +40,9 @@ func scanSuite() []*logic.Circuit {
 	}
 }
 
-// RunScanComparison runs both generators over the benchmark suite.
+// RunScanComparison runs both generators over the benchmark suite: the
+// unconstrained OBD generator for enhanced scan, and launch-on-shift over
+// a scan chain through every circuit input (seq.InputChain).
 func RunScanComparison() (*ScanComparison, error) {
 	out := &ScanComparison{}
 	for _, lc := range scanSuite() {
@@ -50,18 +51,20 @@ func RunScanComparison() (*ScanComparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		los, err := atpg.GenerateLOSTests(lc, faults, nil)
+		chain, err := seq.InputChain(lc)
+		if err != nil {
+			return nil, err
+		}
+		los, err := seq.GenerateTests(chain, faults, seq.LOS, nil)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, ScanRow{
-			Name:       lc.Name,
-			Universe:   len(faults),
-			Enhanced:   enh.Coverage,
-			LOS:        los.Coverage,
-			LOSExact:   los.Exact,
-			LOSVectors: len(los.Tests),
-			EnhVectors: len(enh.Tests),
+			Name:     lc.Name,
+			Universe: len(faults),
+			Enhanced: enh.Coverage,
+			LOS:      los.Coverage,
+			LOSExact: los.Exact,
 		})
 	}
 	return out, nil

@@ -30,8 +30,8 @@ func CollapseOBD(faults []OBD) [][]OBD {
 
 // CollapseOBDIndices is CollapseOBD over fault-list positions: each class
 // holds the indices of its members in ascending order, and classes appear
-// in first-member order. The index form is what grading uses to fan a
-// representative's verdicts back out onto every collapsed site.
+// in first-member order. netcheck.CollapseOBDComplete merges these
+// index classes into its cross-gate ones.
 func CollapseOBDIndices(faults []OBD) [][]int {
 	// Gates are keyed by identity, not name: a fault list may mix gates
 	// from different circuits (or synthetic local gates) whose names

@@ -16,7 +16,7 @@ func Accumulator(n int) (*Circuit, error) {
 	for i := 0; i < n; i++ {
 		ffs[i] = FF{Q: fmt.Sprintf("a%d", i), D: fmt.Sprintf("s%d", i)}
 	}
-	return New(core, ffs)
+	return build(core, ffs)
 }
 
 // Doubler builds an n-bit doubler: both adder operands are fed from the
@@ -33,5 +33,5 @@ func Doubler(n int) (*Circuit, error) {
 	for i := 0; i < n; i++ {
 		ffs = append(ffs, FF{Q: fmt.Sprintf("b%d", i), D: fmt.Sprintf("s%d", i)})
 	}
-	return New(core, ffs)
+	return build(core, ffs)
 }

@@ -9,8 +9,7 @@ import (
 	"gobd/internal/logic"
 )
 
-// Options is the one knob set shared by every style's generator,
-// replacing the per-style option structs of the old API (atpg.LOSOptions).
+// Options is the one knob set shared by every style's generator.
 type Options struct {
 	// SampleBudget bounds the random search used beyond ExhaustiveMaxIn
 	// free bits.
@@ -24,8 +23,7 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the settings used by the experiments (the same
-// numbers as the old atpg.DefaultLOSOptions).
+// DefaultOptions returns the settings used by the experiments.
 func DefaultOptions() *Options {
 	return &Options{SampleBudget: 4096, ExhaustiveMaxIn: 14, Seed: 1}
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // This file is the netlist-first side of the scan API: FromCircuit lifts a
-// flat DFF-bearing logic.Circuit into the scan model, Insert flattens a
-// scan model back into a DFF netlist, and Unroll time-frame-expands the
-// model into one combinational circuit — the bridge that lets the
-// combinational PairGrader/PODEM/SAT stack reason about k clock cycles
-// without learning anything about state.
+// flat DFF-bearing logic.Circuit into the scan model, InputChain chains a
+// DFF-free circuit's inputs into one, Insert flattens a scan model back
+// into a DFF netlist, and Unroll time-frame-expands the model into one
+// combinational circuit — the bridge that lets the combinational
+// PairGrader/PODEM/SAT stack reason about k clock cycles without learning
+// anything about state.
 
 // FromCircuit lifts a DFF-bearing netlist into the scan model: the core is
 // the circuit's CombinationalCore (flip-flop outputs appended to the
@@ -33,6 +34,24 @@ func FromCircuit(c *logic.Circuit) (*Circuit, error) {
 		ffs[i] = FF{Q: g.Output, D: g.Inputs[0]}
 	}
 	return build(core, ffs)
+}
+
+// InputChain models a DFF-free circuit as a flat scan chain over its
+// inputs: every input becomes a scan cell, chained in declaration order
+// with Inputs[0] at the scan-in end, and the model has no primary inputs.
+// Under LOS the second vector is then a one-bit shift of the first across
+// all inputs; enhanced scan is unconstrained. Each cell's D is its own Q,
+// so a capture holds the state and LOC launches nothing. A DFF-bearing
+// circuit yields a *ChainError: lift it with FromCircuit instead.
+func InputChain(c *logic.Circuit) (*Circuit, error) {
+	if ffs := c.DFFs(); len(ffs) > 0 {
+		return nil, &ChainError{Msg: fmt.Sprintf("input chain over a circuit holding %d flip-flops; lift it with FromCircuit", len(ffs))}
+	}
+	ffs := make([]FF, len(c.Inputs))
+	for i, in := range c.Inputs {
+		ffs[i] = FF{Q: in, D: in}
+	}
+	return build(c, ffs)
 }
 
 // Insert stitches an explicit scan chain back into a flat netlist: every

@@ -78,17 +78,21 @@ func oracleGenerateTests(s *Circuit, faults []fault.OBD, style Style, opt *Optio
 	return out, nil
 }
 
-// TestSearchMatchesScalarOracle pins the packed event-engine search to the
-// scalar loop it replaced: on random 3-flip-flop circuits, for every style,
-// in the exhaustive regime (default options) and the sampled one
-// (ExhaustiveMaxIn just below the style's free bits, a budget that ends
-// inside a block of the second chunk), GenerateTestsOn at workers
-// {1, 2, 8} must return a Result deep-equal to the oracle's, and Generate
-// must return the oracle's pair and status per fault. The fault list
-// holds the core's universe plus faults on the DFF netlist's own gates:
-// those gates are foreign to s.Core, so they take the grader's DetectsOBD
-// fallback through the search's pair materializer.
-func TestSearchMatchesScalarOracle(t *testing.T) {
+// searchCase is one model the search is checked on, with its fault list.
+type searchCase struct {
+	seed   int64
+	s      *Circuit
+	faults []fault.OBD
+}
+
+// searchCases lifts six random 3-flip-flop circuits and chains the inputs
+// of six random combinational ones. A lifted model's fault list holds the
+// core's universe plus faults on the DFF netlist's own gates: those gates
+// are foreign to s.Core, so they take the grader's DetectsOBD fallback
+// through the search's pair materializer.
+func searchCases(t *testing.T) []searchCase {
+	t.Helper()
+	var out []searchCase
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := logic.RandomCircuit(rng, logic.RandomOptions{
@@ -102,6 +106,28 @@ func TestSearchMatchesScalarOracle(t *testing.T) {
 		for k := 0; k < 3 && len(flat) > 0; k++ {
 			faults = append(faults, flat[rng.Intn(len(flat))])
 		}
+		comb := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 1 + int(seed%4), Gates: 2 + rng.Intn(10), Primitive: true})
+		chain, err := InputChain(comb)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		chainFaults, _ := fault.OBDUniverse(comb)
+		out = append(out, searchCase{seed, s, faults}, searchCase{seed, chain, chainFaults})
+	}
+	return out
+}
+
+// TestSearchMatchesScalarOracle pins the packed event-engine search to the
+// scalar loop it replaced: on every searchCases model, for every style,
+// in the exhaustive regime (default options) and the sampled one
+// (ExhaustiveMaxIn just below the style's free bits, a budget that ends
+// inside a block of the second chunk), GenerateTestsOn at workers
+// {1, 2, 8} must return a Result deep-equal to the oracle's, and Generate
+// must return the oracle's pair and status per fault.
+func TestSearchMatchesScalarOracle(t *testing.T) {
+	for _, tc := range searchCases(t) {
+		seed, s, faults := tc.seed, tc.s, tc.faults
 		for _, style := range []Style{Enhanced, LOS, LOC} {
 			bits, err := styleBits(s, style)
 			if err != nil {
@@ -147,10 +173,13 @@ func TestSearchMatchesScalarOracle(t *testing.T) {
 // TestSearchRejectsMisfitChain: a hand-built model whose chain does not
 // fit its core fails the launch styles with a typed *ChainError instead
 // of grading a different machine, and so does a core that still holds
-// flip-flops, under every style.
+// flip-flops, under every style, and an input chain over a DFF netlist.
 func TestSearchRejectsMisfitChain(t *testing.T) {
 	flat := randomSeq(t, 39)
-	withFFs, err := New(flat, nil)
+	if _, err := InputChain(flat); !errors.As(err, new(*ChainError)) {
+		t.Fatalf("input chain over a DFF netlist: got %T (%v), want *ChainError", err, err)
+	}
+	withFFs, err := build(flat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +211,14 @@ func TestSearchRejectsMisfitChain(t *testing.T) {
 // TestStyleCoverageMatchesEnumeration: StyleCoverage, now the exhaustive
 // regime of the search, equals grading the materialized EnumeratePairs
 // space with NewPairGrader — the implementation it replaced — on the
-// sequential experiment testbeds and a random 3-flip-flop circuit.
+// sequential experiment testbeds, a random 3-flip-flop circuit and the
+// input chain of c17.
 func TestStyleCoverageMatchesEnumeration(t *testing.T) {
 	rnd, err := FromCircuit(randomSeq(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := InputChain(logic.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +230,7 @@ func TestStyleCoverageMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Circuit{"accumulator2": acc, "doubler2": dbl, "random": rnd} {
+	for name, s := range map[string]*Circuit{"accumulator2": acc, "doubler2": dbl, "random": rnd, "c17-chain": chain} {
 		faults, _ := fault.OBDUniverse(s.Core)
 		for _, style := range []Style{Enhanced, LOS, LOC} {
 			space, err := EnumeratePairs(s, style)

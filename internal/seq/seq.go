@@ -22,8 +22,9 @@
 // its flip-flop's D net — and graded chunk by chunk on the atpg package's
 // event-driven engine, with fault dropping; no pair is built as a pattern
 // map unless it is returned as a test. EnumeratePairs, which does
-// materialize a space, remains as the small-circuit oracle. The older
-// constructor New remains as a deprecated spelling of FromCircuit.
+// materialize a space, remains as the small-circuit oracle. InputChain
+// models a DFF-free circuit whose inputs are all scan cells, the flat
+// chain of a combinational block under launch-on-shift.
 package seq
 
 import (
@@ -53,13 +54,14 @@ type Circuit struct {
 }
 
 // ChainError is a typed scan-chain construction failure from FromCircuit,
-// Insert or New: the flip-flop list does not fit the combinational core.
+// Insert or InputChain: the flip-flop list does not fit the combinational
+// core.
 type ChainError struct{ Msg string }
 
 func (e *ChainError) Error() string { return "seq: " + e.Msg }
 
 // build validates and assembles the scan model shared by FromCircuit,
-// Insert and the deprecated New.
+// Insert, InputChain and the testbed constructors.
 func build(core *logic.Circuit, ffs []FF) (*Circuit, error) {
 	if err := core.Validate(); err != nil {
 		return nil, err
@@ -86,14 +88,6 @@ func build(core *logic.Circuit, ffs []FF) (*Circuit, error) {
 	s.POs = append(s.POs, core.Outputs...)
 	return s, nil
 }
-
-// New validates and builds the sequential wrapper from an explicit core
-// and flip-flop list.
-//
-// Deprecated: use FromCircuit on a DFF-bearing netlist, or Insert followed
-// by FromCircuit to go through the flat form; New remains for callers that
-// already hold a hand-built core.
-func New(core *logic.Circuit, ffs []FF) (*Circuit, error) { return build(core, ffs) }
 
 // State is a present-state assignment in scan-chain order.
 type State []logic.Value

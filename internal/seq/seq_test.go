@@ -12,18 +12,19 @@ import (
 	"gobd/internal/logic"
 )
 
+// TestNewValidation checks build, the constructor behind every scan model.
 func TestNewValidation(t *testing.T) {
 	core := logic.C17()
-	if _, err := New(core, []FF{{Q: "nope", D: "n22"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "nope", D: "n22"}}); err == nil {
 		t.Fatal("bad Q accepted")
 	}
-	if _, err := New(core, []FF{{Q: "i1", D: "ghost"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "i1", D: "ghost"}}); err == nil {
 		t.Fatal("undriven D accepted")
 	}
-	if _, err := New(core, []FF{{Q: "i1", D: "n22"}, {Q: "i1", D: "n23"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "i1", D: "n22"}, {Q: "i1", D: "n23"}}); err == nil {
 		t.Fatal("double-fed Q accepted")
 	}
-	s, err := New(core, []FF{{Q: "i1", D: "n22"}})
+	s, err := build(core, []FF{{Q: "i1", D: "n22"}})
 	if err != nil {
 		t.Fatal(err)
 	}
