@@ -84,6 +84,7 @@ const (
 
 // NewProgression builds the default exponential SBD→HBD trajectory for a
 // device polarity (27 h window, per Linder et al.).
+//
 //obdcheck:allow paniccontract — passes the documented StageParams contract through: the default trajectory visits only defined stages
 func NewProgression(pol MOSPolarity) *Progression { return obd.NewProgression(pol) }
 

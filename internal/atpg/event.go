@@ -17,6 +17,10 @@ import (
 //   - precomputes both good-machine frames once per 64-pair block over
 //     the circuit's dense-ID levelization index (logic.Index), storing
 //     words in net-ID-indexed arrays instead of string-keyed maps;
+//   - per fault, decides excitation on the site gate's own words by gate
+//     evaluation (fault.OBD.ExcitedBits), so a grader holds no transistor
+//     networks and constructing one allocates only its blocks and
+//     scratch pool;
 //   - per fault, seeds the forced faulty words at the site and pushes
 //     only gates whose input words actually changed through level-ordered
 //     buckets, so each cone gate is evaluated at most once and gates
@@ -50,12 +54,6 @@ type PairGrader struct {
 
 	blocks   []eventBlock
 	complete bool // every block complete: enables single-rail math
-
-	// nets caches GateNetworks per gate position (valid where netsOK):
-	// building the series-parallel trees per graded fault would be the
-	// hot path's only allocation.
-	nets   []fault.Networks
-	netsOK []bool
 
 	scratch sync.Pool
 }
@@ -122,18 +120,12 @@ func (sc *eventScratch) begin() {
 	sc.touched = sc.touched[:0]
 }
 
-// newGrader is the setup both constructors share: the circuit's index,
-// the per-worker scratch pool and the per-gate transistor networks. The
-// caller appends the blocks.
+// newGrader is the setup both constructors share: the circuit's index
+// and the per-worker scratch pool. The caller appends the blocks.
 func newGrader(c *logic.Circuit, n int) *PairGrader {
 	idx := c.Index()
 	pg := &PairGrader{c: c, idx: idx, n: n, complete: true}
 	pg.scratch.New = func() any { return newEventScratch(idx) }
-	pg.nets = make([]fault.Networks, len(idx.Gates))
-	pg.netsOK = make([]bool, len(idx.Gates))
-	for gi, g := range idx.Gates {
-		pg.nets[gi], pg.netsOK[gi] = fault.GateNetworks(g.Type, len(idx.GateIn[gi]))
-	}
 	return pg
 }
 
@@ -335,19 +327,15 @@ func (pg *PairGrader) CountDetecting(f fault.OBD) int {
 
 // detectMaskEvent grades one fault against one block, returning the
 // laneMask-clipped bitmask of detecting pairs. The excitation rule is
-// DetectsOBD's series-parallel condition evaluated over 64 lanes; the
-// faulty frame is then propagated event-driven from the site through its
-// fanout cone only.
+// DetectsOBD's, evaluated over 64 lanes by fault.OBD.ExcitedBits on the
+// site gate's own words; the faulty frame is then propagated event-driven
+// from the site through its fanout cone only.
 // The zero-allocation contract (DESIGN.md §11) is enforced statically by
 // the marker below and dynamically by TestDetectMaskEventZeroAlloc.
 //
 //obdcheck:hotpath
 func (pg *PairGrader) detectMaskEvent(b *eventBlock, f fault.OBD, gp int, sc *eventScratch) uint64 {
 	x := pg.idx
-	if !pg.netsOK[gp] {
-		return 0
-	}
-	nets := pg.nets[gp]
 	site := int(x.GateOut[gp])
 	o1, o2 := b.g1v[site], b.g2v[site]
 	ins := x.GateIn[gp]
@@ -360,16 +348,7 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f fault.OBD, gp int, sc *ev
 			localKnown &= b.g1k[id] & b.g2k[id]
 		}
 	}
-	net := nets.PullUp
-	driveMask := o2 // pull-up drives when the new value is 1
-	if f.Side == fault.PullDown {
-		net = nets.PullDown
-		driveMask = ^o2
-	}
-	excited := (o1 ^ o2) & driveMask & localKnown &
-		conductBits(net, f.Side, lv2, -1) &^
-		conductBits(net, f.Side, lv2, f.Input)
-	excited &= laneMask(b.n)
+	excited := f.ExcitedBits(o1, o2, lv2) & localKnown & laneMask(b.n)
 	if excited == 0 {
 		return 0
 	}

@@ -85,11 +85,11 @@ func ReadTests(r io.Reader, c *logic.Circuit) ([]TwoPattern, error) {
 			if len(f) != 3 {
 				return nil, &TestFileError{Line: line, Msg: "pair wants two vectors"}
 			}
-			v1, err := parseBits(f[1], c)
+			v1, err := ParsePattern(f[1], c)
 			if err != nil {
 				return nil, &TestFileError{Line: line, Err: err}
 			}
-			v2, err := parseBits(f[2], c)
+			v2, err := ParsePattern(f[2], c)
 			if err != nil {
 				return nil, &TestFileError{Line: line, Err: err}
 			}
@@ -104,9 +104,19 @@ func ReadTests(r io.Reader, c *logic.Circuit) ([]TwoPattern, error) {
 	return tests, nil
 }
 
-func parseBits(s string, c *logic.Circuit) (Pattern, error) {
+// PatternError reports a bit string ParsePattern cannot read: the wrong
+// width for the circuit, or a character other than 0, 1, X and x.
+type PatternError string
+
+// Error implements error.
+func (e PatternError) Error() string { return string(e) }
+
+// ParsePattern reads a bit string over the circuit's input order ('0',
+// '1', and 'X' or 'x' for unknown) — the inverse of Pattern.KeyFor. The
+// error is a PatternError.
+func ParsePattern(s string, c *logic.Circuit) (Pattern, error) {
 	if len(s) != len(c.Inputs) {
-		return nil, fmt.Errorf("vector %q has %d bits, circuit has %d inputs", s, len(s), len(c.Inputs))
+		return nil, PatternError(fmt.Sprintf("vector %q has %d bits, circuit has %d inputs", s, len(s), len(c.Inputs)))
 	}
 	p := make(Pattern, len(s))
 	for i, ch := range s {
@@ -118,7 +128,7 @@ func parseBits(s string, c *logic.Circuit) (Pattern, error) {
 		case 'X', 'x':
 			p[c.Inputs[i]] = logic.X
 		default:
-			return nil, fmt.Errorf("bad bit %q in vector %q", string(ch), s)
+			return nil, PatternError(fmt.Sprintf("bad bit %q in vector %q", string(ch), s))
 		}
 	}
 	return p, nil

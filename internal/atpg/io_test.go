@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -49,6 +50,14 @@ func TestReadTestsErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ReadTests(strings.NewReader(src), c); err == nil {
 			t.Errorf("accepted bad test file %q", src)
+		}
+	}
+	// The vector errors come from ParsePattern, typed under TestFileError.
+	for _, src := range bad[1:3] {
+		_, err := ReadTests(strings.NewReader(src), c)
+		var pe PatternError
+		if !errors.As(err, &pe) {
+			t.Errorf("%q: error %v wraps no PatternError", src, err)
 		}
 	}
 	// X bits round-trip.

@@ -7,44 +7,12 @@ import (
 
 // DetectsOBDMulti grades a vector pair against a set of SIMULTANEOUS OBD
 // defects under the gross-delay model: every excited defect's gate output
-// holds its first-frame value in the faulty second frame. Excitation is
-// evaluated on the good machine (defects are rare enough that upstream
-// interaction before the capture edge is second-order; this is the
-// standard multiple-fault extension of launch/capture grading). The pair
-// detects the ensemble if any primary output differs.
+// holds its first-frame value in the faulty second frame, with excitation
+// judged on the good machine (see fault.Respond). The pair detects the
+// ensemble if any primary output differs.
 func DetectsOBDMulti(c *logic.Circuit, fs []fault.OBD, tp TwoPattern) bool {
-	g1 := c.Eval(tp.V1, nil)
-	g2 := c.Eval(tp.V2, nil)
-	override := make(map[string]logic.Value)
-	for _, f := range fs {
-		lv1 := localValues(f.Gate, g1)
-		lv2 := localValues(f.Gate, g2)
-		known := true
-		for _, v := range lv1 {
-			if !v.IsKnown() {
-				known = false
-			}
-		}
-		for _, v := range lv2 {
-			if !v.IsKnown() {
-				known = false
-			}
-		}
-		if known && f.Excited(lv1, lv2) {
-			override[f.Gate.Output] = g1[f.Gate.Output]
-		}
-	}
-	if len(override) == 0 {
-		return false
-	}
-	faulty := c.Eval(tp.V2, override)
-	for _, po := range c.Outputs {
-		a, b := g2[po], faulty[po]
-		if a.IsKnown() && b.IsKnown() && a != b {
-			return true
-		}
-	}
-	return false
+	good, faulty, excited := fault.Respond(c, tp.V1, tp.V2, fs...)
+	return excited && fault.Detects(good, faulty, c.Outputs...)
 }
 
 // ensembleName joins the member fault names of a multi-defect scenario.

@@ -3,6 +3,7 @@ package atpg
 import (
 	"sort"
 
+	"gobd/internal/fault"
 	"gobd/internal/logic"
 )
 
@@ -86,14 +87,9 @@ func (e *podemEngine) search() bool {
 	}
 
 	if e.propagate {
-		if reqDone {
-			for _, po := range sortedPOs(e.c) {
-				a, b := good[po], faulty[po]
-				if a.IsKnown() && b.IsKnown() && a != b {
-					e.result = e.assign.Clone()
-					return true
-				}
-			}
+		if reqDone && fault.Detects(good, faulty, e.c.Outputs...) {
+			e.result = e.assign.Clone()
+			return true
 		}
 		if !e.dReachable(good, faulty) {
 			return false

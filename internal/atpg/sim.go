@@ -5,54 +5,15 @@ import (
 	"gobd/internal/logic"
 )
 
-// localValues extracts a gate's input values from a full net-value map.
-func localValues(g *logic.Gate, vals map[string]logic.Value) []logic.Value {
-	out := make([]logic.Value, len(g.Inputs))
-	for i, in := range g.Inputs {
-		out[i] = vals[in]
-	}
-	return out
-}
-
 // DetectsOBD reports whether the ordered vector pair detects the OBD fault
 // under the gross-delay assumption: if the local excitation condition
 // holds, the defective gate's output fails to complete its transition by
 // capture time, so the faulty second-frame value at the fault site is the
 // first-frame value; the fault is detected if that difference reaches a
-// primary output.
+// primary output (see fault.Respond and fault.Detects).
 func DetectsOBD(c *logic.Circuit, f fault.OBD, tp TwoPattern) bool {
-	g1 := c.Eval(tp.V1, nil)
-	g2 := c.Eval(tp.V2, nil)
-	lv1 := localValues(f.Gate, g1)
-	lv2 := localValues(f.Gate, g2)
-	for _, v := range lv1 {
-		if !v.IsKnown() {
-			return false
-		}
-	}
-	for _, v := range lv2 {
-		if !v.IsKnown() {
-			return false
-		}
-	}
-	if !f.Excited(lv1, lv2) {
-		return false
-	}
-	site := f.Gate.Output
-	faulty := c.Eval(tp.V2, map[string]logic.Value{site: g1[site]})
-	for _, po := range c.Outputs {
-		a, b := g2[po], faulty[po]
-		if a.IsKnown() && b.IsKnown() && a != b {
-			return true
-		}
-	}
-	return false
-}
-
-// DetectsEM grades an EM fault with the shared series-parallel excitation
-// rule.
-func DetectsEM(c *logic.Circuit, f fault.EM, tp TwoPattern) bool {
-	return DetectsOBD(c, fault.OBD(f), tp)
+	good, faulty, excited := fault.Respond(c, tp.V1, tp.V2, f)
+	return excited && fault.Detects(good, faulty, c.Outputs...)
 }
 
 // DetectsTransition reports whether the vector pair detects a classical
@@ -72,13 +33,7 @@ func DetectsTransition(c *logic.Circuit, f fault.Transition, tp TwoPattern) bool
 		return false
 	}
 	faulty := c.Eval(tp.V2, map[string]logic.Value{f.Net: from})
-	for _, po := range c.Outputs {
-		a, b := g2[po], faulty[po]
-		if a.IsKnown() && b.IsKnown() && a != b {
-			return true
-		}
-	}
-	return false
+	return fault.Detects(g2, faulty, c.Outputs...)
 }
 
 // DetectsStuckAt reports whether the single pattern detects the stuck-at
@@ -89,13 +44,7 @@ func DetectsStuckAt(c *logic.Circuit, f fault.StuckAt, p Pattern) bool {
 		return false
 	}
 	faulty := c.Eval(p, map[string]logic.Value{f.Net: f.V})
-	for _, po := range c.Outputs {
-		a, b := good[po], faulty[po]
-		if a.IsKnown() && b.IsKnown() && a != b {
-			return true
-		}
-	}
-	return false
+	return fault.Detects(good, faulty, c.Outputs...)
 }
 
 // GradeOBD fault-simulates a test set against an OBD fault list with the

@@ -9,7 +9,6 @@ package atpg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gobd/internal/logic"
@@ -149,11 +148,4 @@ func (c Coverage) Ratio() float64 {
 // String implements fmt.Stringer.
 func (c Coverage) String() string {
 	return fmt.Sprintf("%d/%d (%.1f%%)", c.Detected, c.Total, 100*c.Ratio())
-}
-
-// sortedPOs returns the circuit outputs in deterministic order.
-func sortedPOs(c *logic.Circuit) []string {
-	out := append([]string(nil), c.Outputs...)
-	sort.Strings(out)
-	return out
 }

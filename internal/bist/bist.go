@@ -244,12 +244,9 @@ func (s *Session) RunFault(f fault.OBD, golden uint64) (FaultResult, error) {
 		m.Shift(responseWord(s.Circuit, vals, s.pos))
 	}
 	for i := 1; i < len(s.Pats); i++ {
-		tp := atpg.TwoPattern{V1: s.Pats[i-1], V2: s.Pats[i]}
-		good := s.Circuit.Eval(tp.V2, nil)
+		good, faulty, excited := fault.Respond(s.Circuit, s.Pats[i-1], s.Pats[i], f)
 		word := responseWord(s.Circuit, good, s.pos)
-		if atpg.DetectsOBD(s.Circuit, f, tp) {
-			g1 := s.Circuit.Eval(tp.V1, nil)
-			faulty := s.Circuit.Eval(tp.V2, map[string]logic.Value{f.Gate.Output: g1[f.Gate.Output]})
+		if excited && fault.Detects(good, faulty, s.Circuit.Outputs...) {
 			word = responseWord(s.Circuit, faulty, s.pos)
 			res.DetectedCycles++
 			if res.FirstCycle < 0 {

@@ -81,29 +81,12 @@ func SimulateResponse(c *logic.Circuit, f fault.OBD, tests []atpg.TwoPattern) Re
 	resp := make(Response, len(tests))
 	for i, tp := range tests {
 		resp[i] = make([]bool, len(pos))
-		g1 := c.Eval(tp.V1, nil)
-		g2 := c.Eval(tp.V2, nil)
-		lv1 := make([]logic.Value, len(f.Gate.Inputs))
-		lv2 := make([]logic.Value, len(f.Gate.Inputs))
-		for k, in := range f.Gate.Inputs {
-			lv1[k], lv2[k] = g1[in], g2[in]
-		}
-		known := true
-		for _, v := range append(append([]logic.Value{}, lv1...), lv2...) {
-			if !v.IsKnown() {
-				known = false
-			}
-		}
-		if !known || !f.Excited(lv1, lv2) {
+		good, faulty, excited := fault.Respond(c, tp.V1, tp.V2, f)
+		if !excited {
 			continue
 		}
-		site := f.Gate.Output
-		faulty := c.Eval(tp.V2, map[string]logic.Value{site: g1[site]})
 		for j, po := range pos {
-			a, b := g2[po], faulty[po]
-			if a.IsKnown() && b.IsKnown() && a != b {
-				resp[i][j] = true
-			}
+			resp[i][j] = fault.Detects(good, faulty, po)
 		}
 	}
 	return resp

@@ -120,6 +120,32 @@ func (f OBD) Excited(v1, v2 []logic.Value) bool {
 	return net.Conducts(v2, f.Side, f.Input) == logic.Zero
 }
 
+// ExcitedBits is Excited over 64 lanes of complete local pairs, by gate
+// evaluation instead of a walk of the pull networks: o1 and o2 are the
+// gate's output words in the two frames, v2 its frame-2 input words, and
+// bit k of the result is Excited(lane k's v1, lane k's v2). Because each
+// pin of a primitive gate drives one transistor per side, the defective
+// transistor has no conducting parallel sibling exactly when the output
+// would not have switched had its pin held the value that turns it off
+// (1 for PMOS, 0 for NMOS). v2[f.Input] is swapped for that evaluation
+// and restored, so the call allocates nothing. Composite gates excite
+// nothing.
+//
+//obdcheck:hotpath
+func (f OBD) ExcitedBits(o1, o2 uint64, v2 []uint64) uint64 {
+	if !primitive(f.Gate.Type) || uint(f.Input) >= uint(len(v2)) {
+		return 0
+	}
+	pin, off, drive := v2[f.Input], ^uint64(0), o2 // PMOS: off at 1, drives a rise
+	if f.Side == PullDown {
+		off, drive = 0, ^o2
+	}
+	v2[f.Input] = off
+	held := f.Gate.EvalBits(v2) // the output with the defective transistor off
+	v2[f.Input] = pin
+	return (o1 ^ o2) & drive & (held ^ o2)
+}
+
 // Excited for EM applies the same series-parallel rule (see the EM type
 // documentation for where the models diverge below gate level).
 func (f EM) Excited(v1, v2 []logic.Value) bool { return OBD(f).Excited(v1, v2) }

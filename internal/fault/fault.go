@@ -70,23 +70,17 @@ func (f EM) String() string {
 }
 
 // OBDUniverse enumerates every OBD fault in the circuit: one per
-// transistor of every primitive gate. Gates without a single-cell CMOS
-// realization (BUF/AND/OR/XOR/XNOR) contribute none and are reported in
-// skipped.
+// transistor of every primitive gate, pin by pin with the PMOS defect
+// before the NMOS one. Gates without a single-cell CMOS realization
+// (BUF/AND/OR/XOR/XNOR) contribute none and are reported in skipped.
 func OBDUniverse(c *logic.Circuit) (faults []OBD, skipped []*logic.Gate) {
 	for _, g := range c.Gates {
-		nets, ok := GateNetworks(g.Type, len(g.Inputs))
-		if !ok {
+		if !primitive(g.Type) {
 			skipped = append(skipped, g)
 			continue
 		}
 		for i := range g.Inputs {
-			if nets.PullUp.ContainsInput(i) {
-				faults = append(faults, OBD{Gate: g, Input: i, Side: PullUp})
-			}
-			if nets.PullDown.ContainsInput(i) {
-				faults = append(faults, OBD{Gate: g, Input: i, Side: PullDown})
-			}
+			faults = append(faults, OBD{Gate: g, Input: i, Side: PullUp}, OBD{Gate: g, Input: i, Side: PullDown})
 		}
 	}
 	return faults, skipped

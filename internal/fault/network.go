@@ -5,7 +5,10 @@
 // excitation rule: an OBD defect in a transistor is detectable at the gate
 // output only if the output switches, the transistor conducts in the final
 // state, and no transistor connected in parallel with it also conducts
-// (Section 5 of the paper).
+// (Section 5 of the paper). The networks are the reference model;
+// OBD.ExcitedBits evaluates the same rule 64 lanes at a time by gate
+// evaluation, and Respond and Detects are the scalar gross-delay
+// simulation every grader shares.
 package fault
 
 import (
@@ -96,6 +99,21 @@ func GateNetworks(t logic.GateType, arity int) (Networks, bool) {
 		}, true
 	default:
 		return Networks{}, false
+	}
+}
+
+// primitive reports whether gates of type t have a transistor-level
+// realization as one static CMOS cell: INV, NAND, NOR, AOI21 and OAI21.
+// Every input pin of such a gate drives exactly one PMOS and one NMOS
+// transistor (GateNetworks is the reference the fault tests check this
+// against), so a primitive gate of arity n carries exactly 2n OBD faults.
+// Composite types (BUF/AND/OR/XOR/XNOR) and DFF carry none.
+func primitive(t logic.GateType) bool {
+	switch t {
+	case logic.Inv, logic.Nand, logic.Nor, logic.Aoi21, logic.Oai21:
+		return true
+	default:
+		return false
 	}
 }
 

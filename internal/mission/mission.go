@@ -182,8 +182,7 @@ func buildBench(cfg *Config) (*bench, error) {
 	for i, r := range results {
 		b.detect[i] = r.DetectedCycles > 0 && !r.Aliased
 		if b.detect[i] {
-			obs := diag.SimulateResponse(c, universe[i], b.pairs)
-			cands, _, err := dict.Diagnose(obs)
+			cands, _, err := dict.Diagnose(dict.Signature(i))
 			if err != nil {
 				return nil, fmt.Errorf("mission: diagnosing %s: %w", universe[i], err)
 			}

@@ -9,7 +9,8 @@ package netcheck
 // verdict carrying its own evidence —
 //
 //   - Testable: a concrete two-pattern witness, replayable through the
-//     detection semantics (atpg.DetectsOBD mirrors detectsWitness here);
+//     gross-delay simulation every grader shares (fault.Respond and
+//     fault.Detects, which atpg.DetectsOBD also runs);
 //   - untestable: one refutation per excitation pair, each either a tied
 //     -net pin conflict or a RUP proof the independent sat.Check accepts
 //     against a CNF the verifier re-encodes from scratch;
@@ -17,7 +18,8 @@ package netcheck
 //     "undecided", never silently converted to either side.
 //
 // VerifyExactVerdict trusts nothing from the prover: it rebuilds every
-// CNF deterministically and replays witnesses through its own simulator.
+// CNF deterministically and replays witnesses by scalar simulation
+// rather than through any CNF.
 
 import (
 	"fmt"
@@ -57,11 +59,11 @@ type ExactRefutation struct {
 // and Aborted both false) with one refutation per excitation pair; or
 // Aborted when some pair exhausted the conflict budget undecided.
 type ExactVerdict struct {
-	Fault    string           `json:"fault"`
-	Testable bool             `json:"testable"`
-	Aborted  bool             `json:"aborted,omitempty"`
-	Reason   Reason           `json:"reason,omitempty"`
-	Witness  *ExactWitness    `json:"witness,omitempty"`
+	Fault    string            `json:"fault"`
+	Testable bool              `json:"testable"`
+	Aborted  bool              `json:"aborted,omitempty"`
+	Reason   Reason            `json:"reason,omitempty"`
+	Witness  *ExactWitness     `json:"witness,omitempty"`
 	Pairs    []ExactRefutation `json:"pairs,omitempty"`
 }
 
@@ -178,35 +180,6 @@ func inputsFrom(c *logic.Circuit, x *logic.Index, s *sat.Solver, vars []sat.Lit)
 	return out
 }
 
-// detectsWitness replays a two-pattern against the detection semantics.
-// It mirrors atpg.DetectsOBD exactly (netcheck cannot import atpg — the
-// dependency runs the other way); the agreement of the two is pinned by
-// tests on the atpg side.
-func detectsWitness(c *logic.Circuit, f fault.OBD, v1, v2 map[string]logic.Value) bool {
-	g1 := c.Eval(v1, nil)
-	g2 := c.Eval(v2, nil)
-	lv1 := make([]logic.Value, len(f.Gate.Inputs))
-	lv2 := make([]logic.Value, len(f.Gate.Inputs))
-	for i, in := range f.Gate.Inputs {
-		lv1[i], lv2[i] = g1[in], g2[in]
-		if !lv1[i].IsKnown() || !lv2[i].IsKnown() {
-			return false
-		}
-	}
-	if !f.Excited(lv1, lv2) {
-		return false
-	}
-	site := f.Gate.Output
-	faulty := c.Eval(v2, map[string]logic.Value{site: g1[site]})
-	for _, po := range c.Outputs {
-		a, b := g2[po], faulty[po]
-		if a.IsKnown() && b.IsKnown() && a != b {
-			return true
-		}
-	}
-	return false
-}
-
 // VerifyExactVerdict replays an exact verdict's evidence from scratch:
 // testable witnesses must detect the fault under an independent
 // simulation, and untestable refutations must cover every excitation
@@ -228,7 +201,8 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 		if v.Witness == nil {
 			return fail("", "testable verdict carries no witness", nil)
 		}
-		if !detectsWitness(c, f, v.Witness.V1, v.Witness.V2) {
+		good, faulty, excited := fault.Respond(c, v.Witness.V1, v.Witness.V2, f)
+		if !excited || !fault.Detects(good, faulty, c.Outputs...) {
 			return fail(v.Witness.Pair, "witness two-pattern does not detect the fault", nil)
 		}
 		return nil

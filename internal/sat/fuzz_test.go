@@ -45,11 +45,11 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 // Determinism rides along: a second identical run must match exactly.
 func FuzzSAT(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0, 2, 4, 0, 5, 6, 0})
-	f.Add([]byte{2, 1, 0, 2, 0, 3, 4, 0})           // forces units
-	f.Add([]byte{1, 1, 0, 2, 0})                    // x and ¬x: unsat
-	f.Add([]byte{4, 1, 3, 5, 0, 2, 4, 6, 0, 7, 0})  // mixed polarities
-	f.Add([]byte{5, 0, 0, 0})                       // empty clauses
-	f.Add(bytes.Repeat([]byte{6, 11, 12, 0}, 10))   // repetition
+	f.Add([]byte{2, 1, 0, 2, 0, 3, 4, 0})          // forces units
+	f.Add([]byte{1, 1, 0, 2, 0})                   // x and ¬x: unsat
+	f.Add([]byte{4, 1, 3, 5, 0, 2, 4, 6, 0, 7, 0}) // mixed polarities
+	f.Add([]byte{5, 0, 0, 0})                      // empty clauses
+	f.Add(bytes.Repeat([]byte{6, 11, 12, 0}, 10))  // repetition
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nVars, cnf := decodeCNF(data)
 		if nVars == 0 {

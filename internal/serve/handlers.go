@@ -46,7 +46,7 @@ func (s *Server) handleGrade(w http.ResponseWriter, r *http.Request) {
 				return nil, badRequest(CodeBadRequest, "model %q grades single vectors; use \"patterns\", not \"tests\"", model)
 			}
 			for i, v := range req.Patterns {
-				p, err := parsePattern(v, core)
+				p, err := atpg.ParsePattern(v, core)
 				if err != nil {
 					return nil, badRequest(CodeBadRequest, "patterns[%d]: %v", i, err)
 				}

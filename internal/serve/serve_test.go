@@ -154,11 +154,21 @@ func TestServeGradeTypedErrors(t *testing.T) {
 	status, body, _ = post(t, url, GradeRequest{Netlist: nand2, Patterns: []string{"00"}})
 	wantErrorCode(t, status, body, 400, CodeBadRequest)
 
-	// Bad vector width and bad bit character.
-	status, body, _ = post(t, url, GradeRequest{Netlist: nand2, Tests: []WirePair{{V1: "0", V2: "11"}}})
-	wantErrorCode(t, status, body, 400, CodeBadRequest)
-	status, body, _ = post(t, url, GradeRequest{Netlist: nand2, Tests: []WirePair{{V1: "02", V2: "11"}}})
-	wantErrorCode(t, status, body, 400, CodeBadRequest)
+	// Bad vector width and bad bit character; the messages are wire
+	// contract, shared with ReadTests through atpg.ParsePattern.
+	for _, tc := range []struct {
+		v1, msg string
+	}{
+		{"0", `tests[0].v1: vector "0" has 1 bits, circuit has 2 inputs`},
+		{"02", `tests[0].v1: bad bit "2" in vector "02"`},
+	} {
+		status, body, _ = post(t, url, GradeRequest{Netlist: nand2, Tests: []WirePair{{V1: tc.v1, V2: "11"}}})
+		wantErrorCode(t, status, body, 400, CodeBadRequest)
+		var eb ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Message != tc.msg {
+			t.Errorf("v1 %q: message %q, want %q", tc.v1, eb.Error.Message, tc.msg)
+		}
+	}
 
 	// Malformed JSON and unknown fields (strict decoding).
 	resp, err := http.Post(url, "application/json", strings.NewReader("{nope"))

@@ -250,36 +250,15 @@ func parseNetlist(src string, validate bool) (*logic.Circuit, *apiError) {
 	return c, nil
 }
 
-// parsePattern reads a bit string over the circuit's input order.
-func parsePattern(s string, c *logic.Circuit) (atpg.Pattern, error) {
-	if len(s) != len(c.Inputs) {
-		return nil, fmt.Errorf("vector %q has %d bits, circuit has %d inputs", s, len(s), len(c.Inputs))
-	}
-	p := make(atpg.Pattern, len(s))
-	for i, ch := range s {
-		switch ch {
-		case '0':
-			p[c.Inputs[i]] = logic.Zero
-		case '1':
-			p[c.Inputs[i]] = logic.One
-		case 'X', 'x':
-			p[c.Inputs[i]] = logic.X
-		default:
-			return nil, fmt.Errorf("bad bit %q in vector %q", string(ch), s)
-		}
-	}
-	return p, nil
-}
-
 // parsePairs converts wire pairs to TwoPatterns.
 func parsePairs(ps []WirePair, c *logic.Circuit) ([]atpg.TwoPattern, *apiError) {
 	out := make([]atpg.TwoPattern, 0, len(ps))
 	for i, wp := range ps {
-		v1, err := parsePattern(wp.V1, c)
+		v1, err := atpg.ParsePattern(wp.V1, c)
 		if err != nil {
 			return nil, badRequest(CodeBadRequest, "tests[%d].v1: %v", i, err)
 		}
-		v2, err := parsePattern(wp.V2, c)
+		v2, err := atpg.ParsePattern(wp.V2, c)
 		if err != nil {
 			return nil, badRequest(CodeBadRequest, "tests[%d].v2: %v", i, err)
 		}

@@ -13,9 +13,7 @@ import (
 //
 // on the same line as the finding or the line above. The reason is
 // mandatory: an allow without one is itself reported (allowcheck), and
-// does not suppress anything. The legacy //detlint:allow form is still
-// honored for the three migrated determinism rules so stacked branches
-// keep vetting, but it is reported as deprecated.
+// does not suppress anything. No other spelling is recognized.
 
 // allowEntry is one (annotation line, rule) suppression.
 type allowEntry struct {
@@ -23,7 +21,6 @@ type allowEntry struct {
 	line   int
 	rule   string
 	reason string
-	legacy bool // came from a //detlint:allow comment
 	used   bool // suppressed at least one finding this run
 }
 
@@ -32,8 +29,8 @@ type allowEntry struct {
 type allowSet struct {
 	entries []*allowEntry
 	byLine  map[string]map[int][]*allowEntry
-	// problems are allowcheck findings (unknown rule, missing reason,
-	// deprecated form) recorded at parse time.
+	// problems are allowcheck findings (unknown rule, missing reason)
+	// recorded at parse time.
 	problems []finding
 }
 
@@ -77,15 +74,8 @@ func collectAllows(p *pass) *allowSet {
 		for _, cg := range f.Comments {
 			for _, cm := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-				legacy := false
-				var rest string
-				switch {
-				case strings.HasPrefix(text, "obdcheck:allow"):
-					rest = strings.TrimPrefix(text, "obdcheck:allow")
-				case strings.HasPrefix(text, "detlint:allow"):
-					rest = strings.TrimPrefix(text, "detlint:allow")
-					legacy = true
-				default:
+				rest, ok := strings.CutPrefix(text, "obdcheck:allow")
+				if !ok {
 					continue
 				}
 				pos := p.fset.Position(cm.Pos())
@@ -112,14 +102,12 @@ func collectAllows(p *pass) *allowSet {
 					continue // an allow naming an unknown rule is inert, never silently honored
 				}
 				reason := strings.TrimLeft(strings.TrimSpace(strings.Join(fields[1:], " ")), "—-– ")
-				if legacy {
-					addProblem(pos, fmt.Sprintf("//detlint:allow is deprecated; write //obdcheck:allow %s — <reason>", strings.Join(rules, ",")))
-				} else if reason == "" {
+				if reason == "" {
 					addProblem(pos, "suppression carries no reason; write //obdcheck:allow <rule> — <reason>")
 					continue // a reasonless allow is inert
 				}
 				for _, r := range rules {
-					add(&allowEntry{file: pos.Filename, line: pos.Line, rule: r, reason: reason, legacy: legacy})
+					add(&allowEntry{file: pos.Filename, line: pos.Line, rule: r, reason: reason})
 				}
 			}
 		}

@@ -19,8 +19,7 @@
 //     -staleallows reports annotations that no longer suppress anything.
 //
 // Findings are suppressed by "//obdcheck:allow <rule> — <reason>" on the
-// same or the preceding line; the reason is mandatory. The legacy
-// "//detlint:allow" form still suppresses but is reported as deprecated.
+// same or the preceding line; the reason is mandatory.
 //
 // A baseline file (-baseline findings.json, written by -writebaseline)
 // tolerates recorded legacy findings while new ones keep failing CI.

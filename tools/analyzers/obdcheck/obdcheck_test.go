@@ -204,16 +204,15 @@ func TestSuppressionSemantics(t *testing.T) {
 		}
 		msgs[f.Msg] = true
 	}
-	// unknownRule (line 11), missingReason (line 16) and wrongLine
-	// (line 30) keep their timenow findings; legacy and prevLine are
-	// suppressed.
-	if want := []int{11, 16, 30}; fmt.Sprint(timenowLines) != fmt.Sprint(want) {
+	// unknownRule (line 11), missingReason (line 16), legacy (line 22,
+	// the retired //detlint:allow spelling) and wrongLine (line 30) keep
+	// their timenow findings; only prevLine is suppressed.
+	if want := []int{11, 16, 22, 30}; fmt.Sprint(timenowLines) != fmt.Sprint(want) {
 		t.Errorf("unsuppressed timenow findings at lines %v, want %v", timenowLines, want)
 	}
 	wantSubstrings := []string{
 		`unknown rule "nosuchrule"`,
 		"suppression carries no reason",
-		"//detlint:allow is deprecated",
 	}
 	for _, sub := range wantSubstrings {
 		found := false

@@ -1,6 +1,6 @@
 // Package allowcheck is an obdcheck fixture: the suppressions themselves
-// are checked — unknown rules, missing reasons, deprecated forms and
-// misplaced allows are findings, never silently honored.
+// are checked — unknown rules, missing reasons, retired spellings and
+// misplaced allows never silently suppress a finding.
 package allowcheck
 
 import "time"
@@ -16,8 +16,8 @@ func missingReason() time.Time {
 	return time.Now() //obdcheck:allow timenow
 }
 
-// legacy uses the deprecated detlint form: it still suppresses, but the
-// deprecation is reported.
+// legacy uses the retired detlint spelling, which is no longer an
+// annotation at all: the timenow finding surfaces.
 func legacy() time.Time {
 	return time.Now() //detlint:allow timenow — migrated branches keep vetting
 }
