@@ -27,22 +27,6 @@ func completeRandomTests(rng *rand.Rand, c *logic.Circuit, n int) []TwoPattern {
 	return out
 }
 
-// eventMasks returns a fault's per-block detection masks from the
-// event-driven engine (already clipped by detectMaskEvent).
-func eventMasks(pg *PairGrader, f fault.OBD) []uint64 {
-	gp := pg.idx.GatePos(f.Gate)
-	if gp < 0 {
-		return nil
-	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
-	out := make([]uint64, 0, len(pg.blocks))
-	for bi := range pg.blocks {
-		out = append(out, pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
-	}
-	return out
-}
-
 // TestEventGraderBitIdenticalToSweep: for every fault of the universe, over
 // random circuits (primitive and mixed gate sets) × random complete AND
 // partial test sets, the event engine's FirstDetecting/CountDetecting equal
@@ -68,7 +52,7 @@ func TestEventGraderBitIdenticalToSweep(t *testing.T) {
 				g := *f.Gate
 				sweep := f
 				sweep.Gate = &g
-				if pg.idx.GatePos(sweep.Gate) != -1 || pg.idx.GatePos(f.Gate) < 0 {
+				if x := c.Index(); x.GatePos(sweep.Gate) != -1 || x.GatePos(f.Gate) < 0 {
 					t.Fatalf("seed %d fault %v: copy must be foreign, original indexed", seed, f)
 				}
 				if ef, sf := pg.FirstDetecting(f), pg.FirstDetecting(sweep); ef != sf {
@@ -76,57 +60,6 @@ func TestEventGraderBitIdenticalToSweep(t *testing.T) {
 				}
 				if ec, sc := pg.CountDetecting(f), pg.CountDetecting(sweep); ec != sc {
 					t.Fatalf("seed %d complete=%v fault %v: CountDetecting event %d sweep %d", seed, complete, f, ec, sc)
-				}
-			}
-		}
-	}
-}
-
-// TestEventGraderMatchesScalar pins the event engine to the scalar
-// DetectsOBD semantics pair by pair: over random circuits (primitive and
-// mixed gate sets) × random complete AND partial/X test sets spanning
-// several 64-pair blocks, the per-lane mask bits are exactly the pairs
-// the scalar grader detects — unassigned and X inputs X-masked, never
-// coerced to 0 — and FirstDetecting/CountDetecting equal a scalar scan.
-func TestEventGraderMatchesScalar(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := logic.RandomCircuit(rng, logic.RandomOptions{
-			Inputs: 1 + rng.Intn(6), Gates: 2 + rng.Intn(16), Primitive: seed%2 == 0})
-		faults, _ := fault.OBDUniverse(c)
-		for _, complete := range []bool{false, true} {
-			var tests []TwoPattern
-			if complete {
-				tests = completeRandomTests(rng, c, 1+rng.Intn(150))
-			} else {
-				tests = randomTests(rng, c, 1+rng.Intn(150))
-			}
-			pg := NewPairGrader(c, tests)
-			if pg.Complete() != complete {
-				t.Fatalf("seed %d: Complete() = %v for a complete=%v set", seed, pg.Complete(), complete)
-			}
-			for _, f := range faults {
-				masks := eventMasks(pg, f)
-				first, count := -1, 0
-				for ti, tp := range tests {
-					want := DetectsOBD(c, f, tp)
-					got := masks[ti/64]&(1<<uint(ti%64)) != 0
-					if got != want {
-						t.Fatalf("seed %d complete=%v fault %v pair %d: event %v scalar %v",
-							seed, complete, f, ti, got, want)
-					}
-					if want {
-						count++
-						if first < 0 {
-							first = ti
-						}
-					}
-				}
-				if got := pg.FirstDetecting(f); got != first {
-					t.Fatalf("seed %d complete=%v fault %v: FirstDetecting %d, scalar %d", seed, complete, f, got, first)
-				}
-				if got := pg.CountDetecting(f); got != count {
-					t.Fatalf("seed %d complete=%v fault %v: CountDetecting %d, scalar %d", seed, complete, f, got, count)
 				}
 			}
 		}
@@ -188,10 +121,23 @@ func TestGradeOBDCollapseEquivalence(t *testing.T) {
 	}
 }
 
+// pairMasks returns a fault's per-pair detection bits over a test set
+// (bit i%64 of word i/64 is pair i), from the scalar DetectsOBD.
+func pairMasks(c *logic.Circuit, f fault.OBD, tests []TwoPattern) []uint64 {
+	out := make([]uint64, (len(tests)+63)/64)
+	for i, tp := range tests {
+		if DetectsOBD(c, f, tp) {
+			out[i/64] |= 1 << uint(i%64)
+		}
+	}
+	return out
+}
+
 // TestCollapseClassesShareVerdicts: under complete test sets, every member
 // of a CollapseOBDComplete class has bit-identical per-pair detection
 // masks — the equivalence is per pair, which is what licenses grading the
-// representative only.
+// representative only. The masks are the scalar oracle's, which
+// TestEventGraderMatchesScalar (internal/fault) pins the engine's lanes to.
 func TestCollapseClassesShareVerdicts(t *testing.T) {
 	merges := 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -200,17 +146,16 @@ func TestCollapseClassesShareVerdicts(t *testing.T) {
 			Inputs: 2 + rng.Intn(4), Gates: 3 + rng.Intn(16), Primitive: true})
 		faults, _ := fault.OBDUniverse(c)
 		tests := completeRandomTests(rng, c, 1+rng.Intn(120))
-		pg := NewPairGrader(c, tests)
-		if !pg.Complete() {
+		if !NewPairGrader(c, tests).Complete() {
 			t.Fatalf("seed %d: complete test set not recognised as complete", seed)
 		}
 		for _, cl := range netcheck.CollapseOBDComplete(c, faults) {
 			if len(cl) > 1 {
 				merges++
 			}
-			ref := eventMasks(pg, faults[cl[0]])
+			ref := pairMasks(c, faults[cl[0]], tests)
 			for _, fi := range cl[1:] {
-				if got := eventMasks(pg, faults[fi]); !reflect.DeepEqual(got, ref) {
+				if got := pairMasks(c, faults[fi], tests); !reflect.DeepEqual(got, ref) {
 					t.Fatalf("seed %d: class member %v masks %x differ from representative %v masks %x",
 						seed, faults[fi], got, faults[cl[0]], ref)
 				}
@@ -323,7 +268,7 @@ func TestPairGraderForeignGateFallback(t *testing.T) {
 	g := &logic.Gate{Name: "syn", Type: logic.Nand, Inputs: []string{"n1", "n3"}, Output: "n11"}
 	f := fault.OBD{Gate: g, Input: 0, Side: fault.PullDown}
 	pg := NewPairGrader(c, tests)
-	if got := pg.idx.GatePos(g); got != -1 {
+	if got := c.Index().GatePos(g); got != -1 {
 		t.Fatalf("foreign gate resolved to position %d", got)
 	}
 	want, count := -1, 0
@@ -340,45 +285,6 @@ func TestPairGraderForeignGateFallback(t *testing.T) {
 	}
 	if got := pg.CountDetecting(f); got != count {
 		t.Fatalf("foreign-gate CountDetecting %d, scalar %d", got, count)
-	}
-}
-
-// TestDetectMaskEventZeroAlloc is the dynamic half of the hot-path
-// contract: detectMaskEvent (marked //obdcheck:hotpath, statically
-// audited by the hotalloc rule) must allocate nothing per graded fault
-// once a worker's scratch is warm.
-func TestDetectMaskEventZeroAlloc(t *testing.T) {
-	c := logic.C17()
-	rng := rand.New(rand.NewSource(7))
-	tests := completeRandomTests(rng, c, 130) // three blocks, last partial-width
-	pg := NewPairGrader(c, tests)
-	faults, _ := fault.OBDUniverse(c)
-	if len(faults) == 0 {
-		t.Fatal("no faults in the universe")
-	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
-	// Warm pass: lets grow() size the gather buffers once.
-	for _, f := range faults {
-		if gp := pg.idx.GatePos(f.Gate); gp >= 0 {
-			for bi := range pg.blocks {
-				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, f := range faults {
-			gp := pg.idx.GatePos(f.Gate)
-			if gp < 0 {
-				t.Fatalf("fault %v not on an indexed gate", f)
-			}
-			for bi := range pg.blocks {
-				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("detectMaskEvent allocated %v times per full-universe grade, want 0", allocs)
 	}
 }
 
@@ -440,7 +346,7 @@ func TestPairGraderWordsMatchesPairs(t *testing.T) {
 				}
 			}
 		}
-		pw := NewPairGraderWords(c, n, frame1, frame2, func(i int) TwoPattern { return tests[i] })
+		pw := fault.NewPairGraderWords(c, n, frame1, frame2, func(i int) (v1, v2 map[string]logic.Value) { return tests[i].V1, tests[i].V2 })
 		pp := NewPairGrader(c, tests)
 		if !pw.Complete() {
 			t.Fatalf("seed %d: words grader reported incomplete", seed)

@@ -5,18 +5,20 @@ import (
 	"gobd/internal/logic"
 )
 
-// This file holds the package-level GradeOBDParallel entry point and the
-// lane mask that the event-driven PairGrader (event.go), the repo's one
-// bit-parallel OBD engine, clips its 64-lane words with. The excitation
-// rule over 64 lanes is fault.OBD.ExcitedBits, which evaluates the site
-// gate rather than its transistor networks.
+// This file holds the package-level GradeOBDParallel entry point and
+// atpg's two names for the event-driven grader. The engine itself is
+// fault.PairGrader, the repo's one bit-parallel OBD engine; it lives in
+// internal/fault so that netcheck's exact prover can grade with it too.
 
-// laneMask returns the mask selecting the first n of 64 lanes.
-func laneMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(n) - 1
+// PairGrader is the event-driven OBD grader (see fault.PairGrader).
+type PairGrader = fault.PairGrader
+
+// NewPairGrader packs a TwoPattern test set into a grader. The circuit
+// must validate (grading entry points check first).
+func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
+	return fault.NewPairGrader(c, len(tests), func(i int) (v1, v2 map[string]logic.Value) {
+		return tests[i].V1, tests[i].V2
+	})
 }
 
 // GradeOBDParallel fault-simulates a test set against an OBD fault list

@@ -8,8 +8,9 @@ import (
 
 // The SAT fallback (Options.SATFallback) closes PODEM's completeness
 // gap: a backtrack-limited search can return Aborted, but the exact
-// prover in internal/netcheck decides the same question outright —
-// frame-by-frame SAT over every excitation pair. Each abort handed over
+// prover in internal/netcheck decides the same question outright — by
+// grading seeded random pairs first, then frame-by-frame SAT over every
+// excitation pair of a fault none of them detects. Each abort handed over
 // comes back as a validated test, a proven-untestable verdict, or (only
 // when the solver's own conflict budget runs out too) the original
 // Aborted. The fallback never overrides a Detected or Untestable PODEM

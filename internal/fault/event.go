@@ -1,10 +1,9 @@
-package atpg
+package fault
 
 import (
 	"math/bits"
 	"sync"
 
-	"gobd/internal/fault"
 	"gobd/internal/logic"
 )
 
@@ -18,7 +17,7 @@ import (
 //     the circuit's dense-ID levelization index (logic.Index), storing
 //     words in net-ID-indexed arrays instead of string-keyed maps;
 //   - per fault, decides excitation on the site gate's own words by gate
-//     evaluation (fault.OBD.ExcitedBits), so a grader holds no transistor
+//     evaluation (OBD.ExcitedBits), so a grader holds no transistor
 //     networks and constructing one allocates only its blocks and
 //     scratch pool;
 //   - per fault, seeds the forced faulty words at the site and pushes
@@ -32,25 +31,30 @@ import (
 //   - pools the per-worker scratch (faulty words, dirty marks, level
 //     buckets) in a sync.Pool, so grading allocates nothing per fault.
 //
-// Two reference oracles check it: the scalar DetectsOBD, which the
-// property tests in event_test.go pin every lane verdict to, and the
-// RUP-checked SAT prover in internal/netcheck. Faults on gates outside
-// the circuit's index grade through DetectsOBD directly.
+// Two reference oracles check it: the scalar gross-delay simulation
+// (Respond and Detects), which the property tests in event_test.go pin
+// every lane verdict to, and the RUP-checked SAT prover in
+// internal/netcheck. Faults on gates outside the circuit's index grade
+// through the scalar simulation directly. The engine lives here, beside
+// ExcitedBits and Respond, so that every layer above fault (atpg's
+// graders, seq's scan-style search, netcheck's exact prover) runs the
+// same one.
+
+// PairSource returns pair i of a graded set as its two input maps
+// (frame 1, frame 2); an input missing from a map, or mapped to X, is
+// unknown in that frame.
+type PairSource func(i int) (v1, v2 map[string]logic.Value)
 
 // PairGrader grades OBD faults against a packed two-pattern test set with
 // the levelized event-driven engine. It is immutable after construction
-// and safe for concurrent use by the Scheduler's workers. Faults on gates
+// and safe for concurrent use by a scheduler's workers. Faults on gates
 // that are not part of the circuit (synthetic gates used by local
-// analyses) are graded pair by pair with the scalar DetectsOBD oracle.
+// analyses) are graded pair by pair with the scalar simulation.
 type PairGrader struct {
 	c   *logic.Circuit
 	idx *logic.Index
-	n   int // pairs graded
-
-	// tests holds NewPairGrader's pairs; pair materializes the pairs of a
-	// word-built grader on demand (see pairAt).
-	tests []TwoPattern
-	pair  func(i int) TwoPattern
+	n   int        // pairs graded
+	src PairSource // materializes pair i for the scalar fallback
 
 	blocks   []eventBlock
 	complete bool // every block complete: enables single-rail math
@@ -122,25 +126,24 @@ func (sc *eventScratch) begin() {
 
 // newGrader is the setup both constructors share: the circuit's index
 // and the per-worker scratch pool. The caller appends the blocks.
-func newGrader(c *logic.Circuit, n int) *PairGrader {
+func newGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
 	idx := c.Index()
-	pg := &PairGrader{c: c, idx: idx, n: n, complete: true}
+	pg := &PairGrader{c: c, idx: idx, n: n, src: src, complete: true}
 	pg.scratch.New = func() any { return newEventScratch(idx) }
 	return pg
 }
 
-// NewPairGrader packs vector pairs into 64-wide blocks over the circuit's
-// levelization index and evaluates both good-machine frames per block.
-// The circuit must validate (grading entry points check first).
-func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
-	pg := newGrader(c, len(tests))
-	pg.tests = tests
-	for start := 0; start < len(tests); start += 64 {
+// NewPairGrader packs the n pairs of src into 64-wide blocks over the
+// circuit's levelization index and evaluates both good-machine frames per
+// block. The circuit must validate (grading entry points check first).
+func NewPairGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
+	pg := newGrader(c, n, src)
+	for start := 0; start < n; start += 64 {
 		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
+		if end > n {
+			end = n
 		}
-		b := packEventBlock(pg.idx, tests[start:end])
+		b := packEventBlock(pg.idx, start, end, src)
 		pg.complete = pg.complete && b.complete
 		pg.blocks = append(pg.blocks, b)
 	}
@@ -156,12 +159,11 @@ func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
 // frame-2 input words into g2 while g1 holds every net's evaluated
 // frame-1 word, so a second-frame input may be any first-frame net (a
 // launch-on-capture state bit is the word of its flip-flop's D net).
-// pair(i) materializes pair i; FirstDetecting and CountDetecting call it
-// only for faults on gates outside the circuit, which they grade with
-// DetectsOBD. The circuit must validate.
-func NewPairGraderWords(c *logic.Circuit, n int, frame1 func(b int, g1 []uint64), frame2 func(b int, g1, g2 []uint64), pair func(i int) TwoPattern) *PairGrader {
-	pg := newGrader(c, n)
-	pg.pair = pair
+// src materializes pair i; FirstDetecting and CountDetecting call it only
+// for faults on gates outside the circuit, which they grade with the
+// scalar simulation. The circuit must validate.
+func NewPairGraderWords(c *logic.Circuit, n int, frame1 func(b int, g1 []uint64), frame2 func(b int, g1, g2 []uint64), src PairSource) *PairGrader {
+	pg := newGrader(c, n, src)
 	nb, nv := (n+63)/64, pg.idx.NumNets()
 	words := make([]uint64, 2*nv*nb)
 	pg.blocks = make([]eventBlock, nb)
@@ -180,12 +182,41 @@ func NewPairGraderWords(c *logic.Circuit, n int, frame1 func(b int, g1 []uint64)
 	return pg
 }
 
-// pairAt returns pair i of the graded set.
-func (pg *PairGrader) pairAt(i int) TwoPattern {
-	if pg.pair != nil {
-		return pg.pair(i)
+// detectsScalar grades pair i against f with the scalar gross-delay
+// simulation, the path for faults on gates outside the index.
+func (pg *PairGrader) detectsScalar(f OBD, i int) bool {
+	v1, v2 := pg.src(i)
+	good, faulty, excited := Respond(pg.c, v1, v2, f)
+	return excited && Detects(good, faulty, pg.c.Outputs...)
+}
+
+// LocalPair returns the values pair i drives onto f's gate inputs in the
+// two good frames: the local excitation pair that the pair realizes when
+// it excites f (X where an input is unknown). It reads the packed words
+// for gates of the circuit and simulates pair i for any other gate.
+func (pg *PairGrader) LocalPair(f OBD, i int) Pair {
+	n := len(f.Gate.Inputs)
+	p := Pair{V1: make([]logic.Value, n), V2: make([]logic.Value, n)}
+	gp := pg.idx.GatePos(f.Gate)
+	if gp < 0 {
+		v1, v2 := pg.src(i)
+		g1, g2 := pg.c.Eval(v1, nil), pg.c.Eval(v2, nil)
+		for k, in := range f.Gate.Inputs {
+			p.V1[k], p.V2[k] = g1[in], g2[in]
+		}
+		return p
 	}
-	return pg.tests[i]
+	b, bit := &pg.blocks[i/64], uint64(1)<<uint(i%64)
+	lane := func(val, known []uint64, id int32) logic.Value {
+		if known != nil && known[id]&bit == 0 {
+			return logic.X
+		}
+		return logic.FromBool(val[id]&bit != 0)
+	}
+	for k, id := range pg.idx.GateIn[gp] {
+		p.V1[k], p.V2[k] = lane(b.g1v, b.g1k, id), lane(b.g2v, b.g2k, id)
+	}
+	return p
 }
 
 // Complete reports whether every pattern of every pair assigns every
@@ -193,27 +224,29 @@ func (pg *PairGrader) pairAt(i int) TwoPattern {
 // fault collapsing (equivalence arguments break under X lanes).
 func (pg *PairGrader) Complete() bool { return pg.complete }
 
-// packEventBlock packs up to 64 pairs into dense-ID words and evaluates
+// packEventBlock packs pairs [start, end) of src, at most 64, into
+// dense-ID words and evaluates
 // the good frames. Complete blocks are evaluated single-rail so their
 // beyond-n lanes follow the two-valued semantics of EvalBits; detection
 // masks are laneMask-clipped before use, so those lanes never surface.
-func packEventBlock(x *logic.Index, pairs []TwoPattern) eventBlock {
-	b := eventBlock{n: len(pairs), complete: true}
+func packEventBlock(x *logic.Index, start, end int, src PairSource) eventBlock {
+	b := eventBlock{n: end - start, complete: true}
 	nv := x.NumNets()
 	b.g1v, b.g1k = make([]uint64, nv), make([]uint64, nv)
 	b.g2v, b.g2k = make([]uint64, nv), make([]uint64, nv)
-	full := laneMask(len(pairs))
-	for k, tp := range pairs {
+	full := laneMask(b.n)
+	for k := 0; k < b.n; k++ {
 		bit := uint64(1) << uint(k)
+		v1, v2 := src(start + k)
 		for _, id := range x.InputIDs {
 			name := x.NetNames[id]
-			if v, ok := tp.V1[name]; ok && v.IsKnown() {
+			if v, ok := v1[name]; ok && v.IsKnown() {
 				b.g1k[id] |= bit
 				if v == logic.One {
 					b.g1v[id] |= bit
 				}
 			}
-			if v, ok := tp.V2[name]; ok && v.IsKnown() {
+			if v, ok := v2[name]; ok && v.IsKnown() {
 				b.g2k[id] |= bit
 				if v == logic.One {
 					b.g2v[id] |= bit
@@ -277,17 +310,18 @@ func forwardEval3(x *logic.Index, val, known []uint64) {
 }
 
 // Detects reports whether any pair in the set detects the fault.
-func (pg *PairGrader) Detects(f fault.OBD) bool {
+func (pg *PairGrader) Detects(f OBD) bool {
 	return pg.FirstDetecting(f) >= 0
 }
 
 // FirstDetecting returns the index of the first detecting pair, or -1.
-// Verdicts are bit-identical to a scalar DetectsOBD scan of the pairs.
-func (pg *PairGrader) FirstDetecting(f fault.OBD) int {
+// Verdicts are bit-identical to a scalar Respond/Detects scan of the
+// pairs.
+func (pg *PairGrader) FirstDetecting(f OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
 	if gp < 0 {
 		for ti := 0; ti < pg.n; ti++ {
-			if DetectsOBD(pg.c, f, pg.pairAt(ti)) {
+			if pg.detectsScalar(f, ti) {
 				return ti
 			}
 		}
@@ -306,12 +340,12 @@ func (pg *PairGrader) FirstDetecting(f fault.OBD) int {
 }
 
 // CountDetecting returns how many pairs of the set detect the fault.
-func (pg *PairGrader) CountDetecting(f fault.OBD) int {
+func (pg *PairGrader) CountDetecting(f OBD) int {
 	gp := pg.idx.GatePos(f.Gate)
 	n := 0
 	if gp < 0 {
 		for ti := 0; ti < pg.n; ti++ {
-			if DetectsOBD(pg.c, f, pg.pairAt(ti)) {
+			if pg.detectsScalar(f, ti) {
 				n++
 			}
 		}
@@ -327,14 +361,14 @@ func (pg *PairGrader) CountDetecting(f fault.OBD) int {
 
 // detectMaskEvent grades one fault against one block, returning the
 // laneMask-clipped bitmask of detecting pairs. The excitation rule is
-// DetectsOBD's, evaluated over 64 lanes by fault.OBD.ExcitedBits on the
+// Respond's, evaluated over 64 lanes by OBD.ExcitedBits on the
 // site gate's own words; the faulty frame is then propagated event-driven
 // from the site through its fanout cone only.
 // The zero-allocation contract (DESIGN.md §11) is enforced statically by
 // the marker below and dynamically by TestDetectMaskEventZeroAlloc.
 //
 //obdcheck:hotpath
-func (pg *PairGrader) detectMaskEvent(b *eventBlock, f fault.OBD, gp int, sc *eventScratch) uint64 {
+func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScratch) uint64 {
 	x := pg.idx
 	site := int(x.GateOut[gp])
 	o1, o2 := b.g1v[site], b.g2v[site]
@@ -450,4 +484,12 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f fault.OBD, gp int, sc *ev
 		}
 	}
 	return detected & excited
+}
+
+// laneMask returns the mask selecting the first n of 64 lanes.
+func laneMask(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return uint64(1)<<uint(n) - 1
 }

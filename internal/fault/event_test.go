@@ -1,0 +1,192 @@
+package fault
+
+import (
+	"math/rand"
+	"testing"
+
+	"gobd/internal/logic"
+)
+
+// testPair is one two-pattern of a test set.
+type testPair struct{ v1, v2 map[string]logic.Value }
+
+// randomPairs draws n pairs over the circuit's inputs. Complete pairs
+// assign every input 0 or 1; partial ones leave about one input in ten
+// unassigned and one in ten X.
+func randomPairs(rng *rand.Rand, c *logic.Circuit, n int, complete bool) []testPair {
+	mk := func() map[string]logic.Value {
+		p := make(map[string]logic.Value, len(c.Inputs))
+		for _, in := range c.Inputs {
+			switch r := rng.Intn(10); {
+			case complete || r > 1:
+				p[in] = logic.FromBool(rng.Intn(2) == 1)
+			case r == 1:
+				p[in] = logic.X
+			}
+		}
+		return p
+	}
+	out := make([]testPair, n)
+	for i := range out {
+		out[i] = testPair{v1: mk(), v2: mk()}
+	}
+	return out
+}
+
+// graderOf builds a grader over a test set.
+func graderOf(c *logic.Circuit, tests []testPair) *PairGrader {
+	return NewPairGrader(c, len(tests), func(i int) (v1, v2 map[string]logic.Value) {
+		return tests[i].v1, tests[i].v2
+	})
+}
+
+// scalarDetects is the scalar gross-delay verdict of one pair.
+func scalarDetects(c *logic.Circuit, f OBD, tp testPair) bool {
+	good, faulty, excited := Respond(c, tp.v1, tp.v2, f)
+	return excited && Detects(good, faulty, c.Outputs...)
+}
+
+// eventMasks returns a fault's per-block detection masks from the
+// event-driven engine (already clipped by detectMaskEvent).
+func eventMasks(pg *PairGrader, f OBD) []uint64 {
+	gp := pg.idx.GatePos(f.Gate)
+	if gp < 0 {
+		return nil
+	}
+	sc := pg.scratch.Get().(*eventScratch)
+	defer pg.scratch.Put(sc)
+	out := make([]uint64, 0, len(pg.blocks))
+	for bi := range pg.blocks {
+		out = append(out, pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
+	}
+	return out
+}
+
+// TestEventGraderMatchesScalar pins the event engine to the scalar
+// Respond/Detects semantics pair by pair: over random circuits
+// (primitive and mixed gate sets) × random complete AND partial/X test
+// sets spanning several 64-pair blocks, the per-lane mask bits are
+// exactly the pairs the scalar simulation detects — unassigned and X
+// inputs X-masked, never coerced to 0 — and FirstDetecting/
+// CountDetecting equal a scalar scan.
+func TestEventGraderMatchesScalar(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 1 + rng.Intn(6), Gates: 2 + rng.Intn(16), Primitive: seed%2 == 0})
+		faults, _ := OBDUniverse(c)
+		for _, complete := range []bool{false, true} {
+			tests := randomPairs(rng, c, 1+rng.Intn(150), complete)
+			pg := graderOf(c, tests)
+			if pg.Complete() != complete {
+				t.Fatalf("seed %d: Complete() = %v for a complete=%v set", seed, pg.Complete(), complete)
+			}
+			for _, f := range faults {
+				masks := eventMasks(pg, f)
+				first, count := -1, 0
+				for ti, tp := range tests {
+					want := scalarDetects(c, f, tp)
+					got := masks[ti/64]&(1<<uint(ti%64)) != 0
+					if got != want {
+						t.Fatalf("seed %d complete=%v fault %v pair %d: event %v scalar %v",
+							seed, complete, f, ti, got, want)
+					}
+					if want {
+						count++
+						if first < 0 {
+							first = ti
+						}
+					}
+				}
+				if got := pg.FirstDetecting(f); got != first {
+					t.Fatalf("seed %d complete=%v fault %v: FirstDetecting %d, scalar %d", seed, complete, f, got, first)
+				}
+				if got := pg.CountDetecting(f); got != count {
+					t.Fatalf("seed %d complete=%v fault %v: CountDetecting %d, scalar %d", seed, complete, f, got, count)
+				}
+			}
+		}
+	}
+}
+
+// TestLocalPairMatchesEval: LocalPair reads the site gate's input values
+// of a pair out of the packed words exactly as a scalar Eval of the
+// pair's two patterns computes them (X where unknown), for gates of the
+// circuit and for foreign copies alike. At a detecting pair the local
+// pair is one of the fault's excitation pairs.
+func TestLocalPairMatchesEval(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 2 + rng.Intn(5), Gates: 2 + rng.Intn(16), Primitive: seed%2 == 0})
+		faults, _ := OBDUniverse(c)
+		for _, complete := range []bool{false, true} {
+			tests := randomPairs(rng, c, 1+rng.Intn(100), complete)
+			pg := graderOf(c, tests)
+			for _, f := range faults {
+				g := *f.Gate
+				foreign := f
+				foreign.Gate = &g
+				for ti, tp := range tests {
+					g1, g2 := c.Eval(tp.v1, nil), c.Eval(tp.v2, nil)
+					want := Pair{V1: make([]logic.Value, len(g.Inputs)), V2: make([]logic.Value, len(g.Inputs))}
+					for k, in := range g.Inputs {
+						want.V1[k], want.V2[k] = g1[in], g2[in]
+					}
+					for _, h := range []OBD{f, foreign} {
+						if got := pg.LocalPair(h, ti); !got.Equal(want) {
+							t.Fatalf("seed %d fault %v pair %d: LocalPair %v, Eval %v", seed, h, ti, got, want)
+						}
+					}
+				}
+				if i := pg.FirstDetecting(f); i >= 0 {
+					local, found := pg.LocalPair(f, i), false
+					for _, p := range f.ExcitationPairs() {
+						found = found || p.Equal(local)
+					}
+					if !found {
+						t.Fatalf("seed %d fault %v: detecting pair %d realizes %v, not an excitation pair", seed, f, i, local)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDetectMaskEventZeroAlloc is the dynamic half of the hot-path
+// contract: detectMaskEvent (marked //obdcheck:hotpath, statically
+// audited by the hotalloc rule) must allocate nothing per graded fault
+// once a worker's scratch is warm.
+func TestDetectMaskEventZeroAlloc(t *testing.T) {
+	c := logic.C17()
+	rng := rand.New(rand.NewSource(7))
+	pg := graderOf(c, randomPairs(rng, c, 130, true)) // three blocks, last partial-width
+	faults, _ := OBDUniverse(c)
+	if len(faults) == 0 {
+		t.Fatal("no faults in the universe")
+	}
+	sc := pg.scratch.Get().(*eventScratch)
+	defer pg.scratch.Put(sc)
+	// Warm pass: lets grow() size the gather buffers once.
+	for _, f := range faults {
+		if gp := pg.idx.GatePos(f.Gate); gp >= 0 {
+			for bi := range pg.blocks {
+				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, f := range faults {
+			gp := pg.idx.GatePos(f.Gate)
+			if gp < 0 {
+				t.Fatalf("fault %v not on an indexed gate", f)
+			}
+			for bi := range pg.blocks {
+				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("detectMaskEvent allocated %v times per full-universe grade, want 0", allocs)
+	}
+}

@@ -7,8 +7,9 @@
 // state, and no transistor connected in parallel with it also conducts
 // (Section 5 of the paper). The networks are the reference model;
 // OBD.ExcitedBits evaluates the same rule 64 lanes at a time by gate
-// evaluation, and Respond and Detects are the scalar gross-delay
-// simulation every grader shares.
+// evaluation, Respond and Detects are the scalar gross-delay simulation
+// every grader shares, and PairGrader is the event-driven engine that
+// grades OBD faults against packed pair sets.
 package fault
 
 import (

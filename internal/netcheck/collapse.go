@@ -23,7 +23,7 @@ import (
 // The equivalence needs completeness: with X lanes, f additionally
 // demands g's local values known in both frames, which h's fault does
 // not, so a pair can excite one and not the other. On complete test sets
-// (atpg.PairGrader.Complete) the fan-out of a representative's verdicts
+// (fault.PairGrader.Complete) the fan-out of a representative's verdicts
 // onto its class is bit-identical to grading every site. The classes
 // are an analysis result (CertifyCollapseOBD proves them); grading does
 // not use them, because building them costs more than grading the faults

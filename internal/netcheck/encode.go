@@ -31,6 +31,7 @@ import (
 type cnfBuilder struct {
 	nv      int
 	clauses [][]sat.Lit
+	arena   []sat.Lit // every clause's literals, back to back
 }
 
 func (b *cnfBuilder) newVar() sat.Lit {
@@ -38,8 +39,14 @@ func (b *cnfBuilder) newVar() sat.Lit {
 	return sat.Lit(b.nv)
 }
 
+// add appends a clause. Its literals go to the end of the arena, and the
+// clause is the capacity-clipped subslice holding them, so one growing
+// array backs every clause. When the arena grows, the clauses already
+// added keep the old array, whose contents never change.
 func (b *cnfBuilder) add(lits ...sat.Lit) {
-	b.clauses = append(b.clauses, append([]sat.Lit(nil), lits...))
+	start := len(b.arena)
+	b.arena = append(b.arena, lits...)
+	b.clauses = append(b.clauses, b.arena[start:len(b.arena):len(b.arena)])
 }
 
 // run feeds the CNF into a fresh proof-logging solver and solves it.

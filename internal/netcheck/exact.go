@@ -2,27 +2,35 @@ package netcheck
 
 // The exact OBD prover. ProveOBD (untestable.go) is one-sided: built on
 // implication closure, it can prove untestability but never testability.
-// This file closes the gap with a complete decision procedure: every
-// excitation pair of a fault becomes two SAT instances (frame-1
-// justification, frame-2 excitation + propagation; see encode.go), and
-// the CDCL solver decides each one outright. The outcome is a total
-// verdict carrying its own evidence —
+// This file closes the gap with a complete decision procedure in two
+// passes, the classic SAT-based ATPG flow. Simulation goes first: a fixed
+// set of seeded random complete pairs is graded on the event engine
+// (fault.PairGrader), and a fault's first detecting pair is its witness.
+// The faults no pair detects, the residue, go to SAT: every excitation
+// pair becomes two instances (frame-1 justification, frame-2 excitation +
+// propagation; see encode.go), and the CDCL solver decides each one
+// outright. The outcome is a total verdict carrying its own evidence —
 //
-//   - Testable: a concrete two-pattern witness, replayable through the
-//     gross-delay simulation every grader shares (fault.Respond and
-//     fault.Detects, which atpg.DetectsOBD also runs);
+//   - Testable: a concrete two-pattern witness, named by the excitation
+//     pair it realizes and replayable through the gross-delay simulation
+//     every grader shares (fault.Respond and fault.Detects, which
+//     atpg.DetectsOBD also runs);
 //   - untestable: one refutation per excitation pair, each either a tied
 //     -net pin conflict or a RUP proof the independent sat.Check accepts
 //     against a CNF the verifier re-encodes from scratch;
 //   - Aborted: the conflict budget ran out on some pair — an honest
 //     "undecided", never silently converted to either side.
 //
-// VerifyExactVerdict trusts nothing from the prover: it rebuilds every
-// CNF deterministically and replays witnesses by scalar simulation
-// rather than through any CNF.
+// Simulation only ever finds witnesses, so untestable verdicts and their
+// proofs are exactly what SAT alone derives. DFF-bearing circuits are
+// decided over their combinational core. VerifyExactVerdict trusts
+// nothing from the prover: it rebuilds every CNF deterministically and
+// replays witnesses by scalar simulation rather than through any CNF or
+// the event engine.
 
 import (
 	"fmt"
+	"math/rand"
 
 	"gobd/internal/fault"
 	"gobd/internal/logic"
@@ -91,6 +99,14 @@ func (e *ExactProofError) Error() string {
 // Unwrap exposes the underlying checker error to errors.Is/As.
 func (e *ExactProofError) Unwrap() error { return e.Err }
 
+// simPairs is how many seeded random complete pairs the exact prover
+// grades before it encodes any CNF, and simSeed seeds them. Both are
+// fixed, so a verdict is a function of the circuit and the fault alone.
+const (
+	simPairs = 1024
+	simSeed  = 1
+)
+
 // ProveOBDExact decides one fault with no conflict budget: the verdict
 // is never Aborted. The circuit must validate.
 func ProveOBDExact(c *logic.Circuit, f fault.OBD) ExactVerdict {
@@ -99,8 +115,127 @@ func ProveOBDExact(c *logic.Circuit, f fault.OBD) ExactVerdict {
 
 // ProveOBDExactBudget is ProveOBDExact under a per-instance conflict
 // budget (0 = unlimited); faults whose instances exceed it come back
-// Aborted.
+// Aborted. It is ProveOBDExactList over a list of one, so a verdict does
+// not depend on the entry point.
 func ProveOBDExactBudget(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
+	return ProveOBDExactList(c, []fault.OBD{f}, budget)[0]
+}
+
+// ProveOBDExactList decides a fault list; the result is index-aligned
+// with faults. Simulation goes first: every fault that one of simPairs
+// seeded random pairs detects is testable, with the first detecting pair
+// as its witness. Only the faults no pair detects are decided by SAT.
+// A DFF-bearing circuit is decided over its combinational core (see
+// exactCore). The circuit must validate.
+func ProveOBDExactList(c *logic.Circuit, faults []fault.OBD, budget int) []ExactVerdict {
+	return proveExactList(c, faults, budget, simPairs)
+}
+
+// proveExactList is ProveOBDExactList with the number of simulated pairs
+// as a parameter; with none, every fault is decided by SAT.
+func proveExactList(c *logic.Circuit, faults []fault.OBD, budget, nsim int) []ExactVerdict {
+	out := make([]ExactVerdict, len(faults))
+	core, onCore, err := exactCore(c, faults)
+	if err != nil {
+		// Unreachable for a circuit that validates; decide nothing
+		// rather than guess.
+		for i, f := range faults {
+			out[i] = ExactVerdict{Fault: f.String(), Aborted: true}
+		}
+		return out
+	}
+	sim := newSimGrader(core, nsim)
+	for i, f := range onCore {
+		if w := sim.witness(f); w != nil {
+			out[i] = ExactVerdict{Fault: f.String(), Testable: true, Witness: w}
+			continue
+		}
+		out[i] = proveSAT(core, f, budget)
+	}
+	return out
+}
+
+// exactCore returns the circuit the exact prover decides and the faults
+// moved onto it. A circuit without flip-flops is its own. A DFF-bearing
+// circuit is decided over its combinational core, as Analyze does: state
+// bits become pseudo-inputs and next-state nets pseudo-outputs. Each
+// fault moves to the core gate that drives the same net, keeping its pin
+// and side, so its name does not change.
+func exactCore(c *logic.Circuit, faults []fault.OBD) (*logic.Circuit, []fault.OBD, error) {
+	if !c.HasDFF() {
+		return c, faults, nil
+	}
+	core, err := c.CombinationalCore()
+	if err != nil {
+		return nil, nil, err
+	}
+	moved := make([]fault.OBD, len(faults))
+	for i, f := range faults {
+		moved[i] = f
+		if g := core.Driver(f.Gate.Output); g != nil {
+			moved[i].Gate = g
+		}
+	}
+	return core, moved, nil
+}
+
+// simGrader is the exact prover's simulation pass: n seeded random
+// complete pairs on one word-built event grader.
+type simGrader struct {
+	c  *logic.Circuit
+	pg *fault.PairGrader
+	// words holds block b's frame-f word of input i at
+	// words[(2*b+f)*len(c.Inputs)+i].
+	words []uint64
+}
+
+func newSimGrader(c *logic.Circuit, n int) *simGrader {
+	x, nin := c.Index(), len(c.Inputs)
+	s := &simGrader{c: c, words: make([]uint64, 2*nin*((n+63)/64))}
+	rng := rand.New(rand.NewSource(simSeed))
+	for i := range s.words {
+		s.words[i] = rng.Uint64()
+	}
+	frame := func(b, f int, g []uint64) {
+		w := s.words[(2*b+f)*nin:]
+		for i, id := range x.InputIDs {
+			g[id] = w[i]
+		}
+	}
+	s.pg = fault.NewPairGraderWords(c, n,
+		func(b int, g1 []uint64) { frame(b, 0, g1) },
+		func(b int, _, g2 []uint64) { frame(b, 1, g2) },
+		s.pair)
+	return s
+}
+
+// pair reads pair i's two patterns out of the words.
+func (s *simGrader) pair(i int) (v1, v2 map[string]logic.Value) {
+	nin, k := len(s.c.Inputs), uint(i%64)
+	w := s.words[2*(i/64)*nin:]
+	v1, v2 = make(map[string]logic.Value, nin), make(map[string]logic.Value, nin)
+	for j, in := range s.c.Inputs {
+		v1[in] = logic.FromBool(w[j]>>k&1 == 1)
+		v2[in] = logic.FromBool(w[nin+j]>>k&1 == 1)
+	}
+	return v1, v2
+}
+
+// witness returns the first pair that detects f as a witness named by
+// the excitation pair it realizes, or nil when no pair detects f.
+func (s *simGrader) witness(f fault.OBD) *ExactWitness {
+	i := s.pg.FirstDetecting(f)
+	if i < 0 {
+		return nil
+	}
+	v1, v2 := s.pair(i)
+	return &ExactWitness{Pair: s.pg.LocalPair(f, i).String(), V1: v1, V2: v2}
+}
+
+// proveSAT decides f pair by pair: each excitation pair becomes two SAT
+// instances, frame-1 justification and frame-2 excitation and
+// propagation (see encode.go).
+func proveSAT(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
 	v := ExactVerdict{Fault: f.String()}
 	pairs := f.ExcitationPairs()
 	if len(pairs) == 0 {
@@ -161,16 +296,6 @@ func ProveOBDExactBudget(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict
 	return v
 }
 
-// ProveOBDExactList decides a fault list; the result is index-aligned
-// with faults.
-func ProveOBDExactList(c *logic.Circuit, faults []fault.OBD, budget int) []ExactVerdict {
-	out := make([]ExactVerdict, len(faults))
-	for i, f := range faults {
-		out[i] = ProveOBDExactBudget(c, f, budget)
-	}
-	return out
-}
-
 // inputsFrom reads the primary-input assignment out of a model.
 func inputsFrom(c *logic.Circuit, x *logic.Index, s *sat.Solver, vars []sat.Lit) map[string]logic.Value {
 	out := make(map[string]logic.Value, len(c.Inputs))
@@ -181,12 +306,14 @@ func inputsFrom(c *logic.Circuit, x *logic.Index, s *sat.Solver, vars []sat.Lit)
 }
 
 // VerifyExactVerdict replays an exact verdict's evidence from scratch:
-// testable witnesses must detect the fault under an independent
-// simulation, and untestable refutations must cover every excitation
-// pair in order, with pin conflicts re-derived and every RUP proof
-// accepted by sat.Check against a freshly re-encoded CNF. Aborted
-// verdicts claim nothing and verify vacuously. The returned error is
-// always a *ExactProofError.
+// a testable witness must realize the excitation pair it names and
+// detect the fault under an independent simulation, and untestable
+// refutations must cover every excitation pair in order, with pin
+// conflicts re-derived and every RUP proof accepted by sat.Check against
+// a freshly re-encoded CNF. Aborted verdicts claim nothing and verify
+// vacuously. A DFF-bearing circuit is checked over its combinational
+// core, as the prover decides it. The returned error is always a
+// *ExactProofError.
 func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 	fail := func(pair, msg string, err error) error {
 		return &ExactProofError{Fault: v.Fault, Pair: pair, Msg: msg, Err: err}
@@ -197,13 +324,35 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 	if v.Aborted {
 		return nil
 	}
+	c, onCore, err := exactCore(c, []fault.OBD{f})
+	if err != nil {
+		return fail("", "combinational core extraction failed", err)
+	}
+	f = onCore[0]
 	if v.Testable {
-		if v.Witness == nil {
+		w := v.Witness
+		if w == nil {
 			return fail("", "testable verdict carries no witness", nil)
 		}
-		good, faulty, excited := fault.Respond(c, v.Witness.V1, v.Witness.V2, f)
+		// Re-derive the local pair the witness drives onto the site gate.
+		g1, g2 := c.Eval(w.V1, nil), c.Eval(w.V2, nil)
+		local := fault.Pair{V1: make([]logic.Value, len(f.Gate.Inputs)), V2: make([]logic.Value, len(f.Gate.Inputs))}
+		for k, in := range f.Gate.Inputs {
+			local.V1[k], local.V2[k] = g1[in], g2[in]
+		}
+		if local.String() != w.Pair {
+			return fail(w.Pair, fmt.Sprintf("witness realizes local pair %s", local), nil)
+		}
+		excites := false
+		for _, p := range f.ExcitationPairs() {
+			excites = excites || p.Equal(local)
+		}
+		if !excites {
+			return fail(w.Pair, "witness pair is not an excitation pair of the fault", nil)
+		}
+		good, faulty, excited := fault.Respond(c, w.V1, w.V2, f)
 		if !excited || !fault.Detects(good, faulty, c.Outputs...) {
-			return fail(v.Witness.Pair, "witness two-pattern does not detect the fault", nil)
+			return fail(w.Pair, "witness two-pattern does not detect the fault", nil)
 		}
 		return nil
 	}
@@ -265,7 +414,8 @@ type ExactReport struct {
 }
 
 // ExactAnalyze decides the circuit's full OBD universe under the given
-// per-instance conflict budget (0 = DefaultExactBudget).
+// per-instance conflict budget (0 = DefaultExactBudget), over the
+// combinational core when the circuit has flip-flops.
 func ExactAnalyze(c *logic.Circuit, budget int) *ExactReport {
 	if budget == 0 {
 		budget = DefaultExactBudget

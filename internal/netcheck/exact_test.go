@@ -2,7 +2,10 @@ package netcheck_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gobd/internal/atpg"
@@ -222,6 +225,41 @@ func TestVerifyExactVerdictRejectsTampering(t *testing.T) {
 	v.Witness = &w
 	wantTyped("gutted witness", netcheck.VerifyExactVerdict(c, faults[testableIdx], v))
 
+	// File the witness under another excitation pair of the fault: it
+	// still detects the fault, but it does not realize that pair.
+	v = verdicts[testableIdx]
+	w = *v.Witness
+	for _, p := range faults[testableIdx].ExcitationPairs() {
+		if p.String() != w.Pair {
+			w.Pair = p.String()
+			break
+		}
+	}
+	if w.Pair == v.Witness.Pair {
+		t.Fatalf("%s has a single excitation pair; pick a fault with two", faults[testableIdx])
+	}
+	v.Witness = &w
+	wantTyped("renamed witness pair", netcheck.VerifyExactVerdict(c, faults[testableIdx], v))
+
+	// A witness that launches no transition (V2 = V1), filed under the
+	// local pair it does realize: that pair is not an excitation pair.
+	v = verdicts[testableIdx]
+	w = *v.Witness
+	w.V2 = w.V1
+	g1 := c.Eval(w.V1, nil)
+	f := faults[testableIdx]
+	still := fault.Pair{V1: make([]logic.Value, len(f.Gate.Inputs)), V2: make([]logic.Value, len(f.Gate.Inputs))}
+	for k, in := range f.Gate.Inputs {
+		still.V1[k], still.V2[k] = g1[in], g1[in]
+	}
+	w.Pair = still.String()
+	v.Witness = &w
+	err := netcheck.VerifyExactVerdict(c, f, v)
+	wantTyped("non-excitation witness pair", err)
+	if pe := (*netcheck.ExactProofError)(nil); errors.As(err, &pe) && !strings.Contains(pe.Msg, "not an excitation pair") {
+		t.Errorf("non-excitation witness pair rejected for another reason: %v", err)
+	}
+
 	// Corrupt a refutation proof (append a clause over a fresh variable —
 	// never RUP).
 	v = verdicts[untestableIdx]
@@ -288,5 +326,160 @@ func TestAnalyzeExactStanza(t *testing.T) {
 	}
 	if r2 := netcheck.Analyze(c, netcheck.Options{}); r2.Exact != nil {
 		t.Fatal("Report.Exact attached without Options.Exact")
+	}
+}
+
+// TestExactGradeFirstMatchesSATOnly pins both witness sources against
+// each other: on random primitive circuits, some with 8–12 inputs where
+// random pairs miss faults, the grade-first prover and the SAT-only
+// prover agree on Testable and Aborted for every fault, their untestable
+// verdicts are identical (refutations and proofs included), and every
+// verdict from both runs verifies.
+func TestExactGradeFirstMatchesSATOnly(t *testing.T) {
+	differ := 0 // testable faults whose two witnesses differ
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := 3 + rng.Intn(3)
+		if seed%2 == 0 {
+			in = 8 + rng.Intn(5)
+		}
+		c := logic.RandomCircuit(rng, logic.RandomOptions{Inputs: in, Gates: 6 + rng.Intn(20), Primitive: true})
+		faults, _ := fault.OBDUniverse(c)
+		first := netcheck.ProveOBDExactList(c, faults, 0)
+		only := netcheck.ProveOBDExactListSATOnly(c, faults, 0)
+		for i, f := range faults {
+			a, b := first[i], only[i]
+			if a.Testable != b.Testable || a.Aborted != b.Aborted {
+				t.Fatalf("seed %d %s: grade-first testable=%v aborted=%v, SAT-only testable=%v aborted=%v",
+					seed, f, a.Testable, a.Aborted, b.Testable, b.Aborted)
+			}
+			if !a.Testable && !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d %s: untestable verdicts differ:\n%+v\n%+v", seed, f, a, b)
+			}
+			if a.Testable && !reflect.DeepEqual(a.Witness, b.Witness) {
+				differ++
+			}
+			for _, v := range []netcheck.ExactVerdict{a, b} {
+				if err := netcheck.VerifyExactVerdict(c, f, v); err != nil {
+					t.Fatalf("seed %d %s: %v", seed, f, err)
+				}
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every SAT-only witness equals the simulated one; the SAT-only run never took the SAT path")
+	}
+}
+
+// andTree16 is a 16-input AND tree of NAND/INV pairs: the root rises
+// only when every input is 1, which a random pattern does once in 65,536.
+func andTree16(t *testing.T) *logic.Circuit {
+	t.Helper()
+	c := logic.New("and16")
+	var level []string
+	for i := 0; i < 16; i++ {
+		in := fmt.Sprintf("x%d", i)
+		if err := c.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+		level = append(level, in)
+	}
+	for n := 0; len(level) > 1; {
+		var next []string
+		for i := 0; i < len(level); i += 2 {
+			nand, and := fmt.Sprintf("n%d", n), fmt.Sprintf("a%d", n)
+			n++
+			if _, err := c.AddGate("g"+nand, logic.Nand, nand, level[i], level[i+1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AddGate("g"+and, logic.Inv, and, nand); err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, and)
+		}
+		level = next
+	}
+	c.AddOutput(level[0])
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestExactSATWitnessBeyondSimulation: on a random-resistant circuit,
+// testable faults that no simulated pair detects still come back
+// testable, with the SAT path's witness (the SAT-only verdict), and the
+// witness verifies.
+func TestExactSATWitnessBeyondSimulation(t *testing.T) {
+	c := andTree16(t)
+	faults, _ := fault.OBDUniverse(c)
+	verdicts := netcheck.ProveOBDExactList(c, faults, 0)
+	only := netcheck.ProveOBDExactListSATOnly(c, faults, 0)
+	escaped := 0
+	for i, f := range faults {
+		v := verdicts[i]
+		if err := netcheck.VerifyExactVerdict(c, f, v); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if !v.Testable || netcheck.SimulationDetects(c, f) {
+			continue
+		}
+		escaped++
+		if !reflect.DeepEqual(v, only[i]) {
+			t.Fatalf("%s escaped simulation but its verdict is not the SAT path's:\n%+v\n%+v", f, v, only[i])
+		}
+	}
+	if escaped == 0 {
+		t.Fatal("no testable fault escaped simulation; the SAT witness path was not exercised")
+	}
+	t.Logf("%d of %d faults testable only through SAT", escaped, len(faults))
+}
+
+// TestProveOBDExactMatchesList: a verdict does not depend on the entry
+// point or on the other faults of the call.
+func TestProveOBDExactMatchesList(t *testing.T) {
+	c432, err := logic.ParseFile("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*logic.Circuit{cells.FullAdderSumLogic(), c432} {
+		faults, _ := fault.OBDUniverse(c)
+		list := netcheck.ProveOBDExactList(c, faults, 0)
+		for i, f := range faults {
+			if one := netcheck.ProveOBDExact(c, f); !reflect.DeepEqual(one, list[i]) {
+				t.Fatalf("%s %s: ProveOBDExact %+v, ProveOBDExactList %+v", c.Name, f, one, list[i])
+			}
+		}
+	}
+}
+
+// TestExactSequentialCore: the exact entry points decide a DFF-bearing
+// netlist over its combinational core, as Analyze does. s27's 40 faults
+// come back 26 testable, 14 untestable, 0 aborted, equal to Analyze's
+// exact stanza and to one-fault calls, and every verdict verifies.
+func TestExactSequentialCore(t *testing.T) {
+	c, err := logic.ParseFile("../../testdata/s27.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _ := fault.OBDUniverse(c)
+	verdicts := netcheck.ProveOBDExactList(c, faults, 0)
+	r := netcheck.ExactAnalyze(c, 0)
+	if len(faults) != 40 || r.Faults != 40 || r.Testable != 26 || r.Untestable != 14 || r.Aborted != 0 {
+		t.Fatalf("s27 census %d faults, %d/%d/%d, want 40 faults, 26/14/0", r.Faults, r.Testable, r.Untestable, r.Aborted)
+	}
+	if !reflect.DeepEqual(r.Verdicts, verdicts) {
+		t.Fatal("ExactAnalyze and ProveOBDExactList disagree on s27")
+	}
+	if a := netcheck.Analyze(c, netcheck.Options{Exact: true}); !reflect.DeepEqual(a.Exact.Verdicts, verdicts) {
+		t.Fatal("Analyze's exact stanza differs from ProveOBDExactList on s27")
+	}
+	for i, f := range faults {
+		if one := netcheck.ProveOBDExactBudget(c, f, 0); !reflect.DeepEqual(one, verdicts[i]) {
+			t.Fatalf("%s: ProveOBDExactBudget %+v, list %+v", f, one, verdicts[i])
+		}
+		if err := netcheck.VerifyExactVerdict(c, f, verdicts[i]); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
 	}
 }

@@ -243,11 +243,11 @@ func (c *chunk) pair(i int) (*atpg.TwoPattern, error) {
 // lane is pair in the form the grader's fallback for foreign gates takes.
 // An assignment the style cannot deliver (pair returns nil or an error,
 // which complete chunks never produce) detects nothing.
-func (c *chunk) lane(i int) atpg.TwoPattern {
+func (c *chunk) lane(i int) (v1, v2 map[string]logic.Value) {
 	if tp, err := c.pair(i); err == nil && tp != nil {
-		return *tp
+		return tp.V1, tp.V2
 	}
-	return atpg.TwoPattern{}
+	return nil, nil
 }
 
 // count fills the words of the exhaustive regime: lane j of the n pairs
@@ -306,7 +306,7 @@ func (c *chunk) scan(sched *atpg.Scheduler, faults []fault.OBD, found []*atpg.Tw
 			n = chunkBlocks * 64
 		}
 		fill(base, n)
-		pg := atpg.NewPairGraderWords(c.sp.s.Core, n, frame1, frame2, lane)
+		pg := fault.NewPairGraderWords(c.sp.s.Core, n, frame1, frame2, lane)
 		sched.ForEach(len(live), func(k int) {
 			i := live[k]
 			if j := pg.FirstDetecting(faults[i]); j >= 0 {
