@@ -22,7 +22,9 @@
 // (launch-on-shift) or loc (launch-on-capture/broadside). -style generates
 // OBD tests only, so any -model other than obd is a usage error. -model los
 // runs launch-on-shift on a combinational circuit whose inputs are all scan
-// cells, chained in declaration order (seq.InputChain).
+// cells, chained in declaration order (seq.InputChain). -prune and
+// -sat-fallback tune the combinational OBD generator only: with any other
+// -model, with -style or with -apply they are usage errors too.
 package main
 
 import (
@@ -52,7 +54,7 @@ func main() {
 		nDetect   = flag.Int("n", 3, "detection multiplicity for -model ndetect")
 		cycles    = flag.Int("cycles", 256, "stream length for -model bist")
 		gradeOBD  = flag.Bool("grade-obd", false, "also grade the generated set against the OBD universe")
-		prune     = flag.Bool("prune", false, "statically prove OBD faults untestable (netcheck) before running PODEM on them")
+		prune     = flag.Bool("prune", false, "settle the OBD faults netcheck's exact prover proves untestable before running PODEM on them (model obd only)")
 		satFB     = flag.Bool("sat-fallback", false, "resolve PODEM aborts with the exact SAT prover (model obd only)")
 		maxBT     = flag.Int("max-backtracks", 0, "PODEM backtrack limit (0 = default); low limits force aborts, which -sat-fallback then resolves")
 		outFile   = flag.String("o", "", "write the generated vector pairs to this file")
@@ -68,6 +70,10 @@ func main() {
 	}
 	if *style != "" && *model != "obd" {
 		fmt.Fprintf(os.Stderr, "obdatpg: -style generates OBD tests; it cannot be combined with -model %s\n", *model)
+		os.Exit(2)
+	}
+	if (*prune || *satFB) && (*model != "obd" || *style != "" || *applyFile != "") {
+		fmt.Fprintln(os.Stderr, "obdatpg: -prune and -sat-fallback apply to combinational -model obd generation only (not -style or -apply)")
 		os.Exit(2)
 	}
 	sched := atpg.NewScheduler(*workers)

@@ -1,14 +1,15 @@
 // Command obdlint runs the internal/netcheck static analyzer over
 // gate-level netlists: structural lint diagnostics, implication-proved
-// constant nets, OBD untestability verdicts with machine-checkable proof
-// chains, and a SCOAP ranking of the hardest surviving faults.
+// constant nets, the exact OBD census (testable with a witness pair,
+// untestable with RUP proofs, or aborted under the conflict budget), and
+// a SCOAP ranking of the hardest faults the census did not prove
+// untestable.
 //
 // Examples:
 //
 //	obdlint -circuit fulladder
 //	obdlint -netlist mydesign.net -json
 //	obdlint -circuit fulladder -proofs
-//	obdlint -circuit fulladder -sat
 //	obdlint -circuit c17 -circuit rca4 -no-faults
 //	obdlint -netlist s27.bench
 //
@@ -17,11 +18,11 @@
 // bits — and then the fault-level passes run over the combinational core
 // (state bits as pseudo-inputs, next-state functions as pseudo-outputs).
 //
-// The exit status is 2 when any circuit carries Error-severity
-// diagnostics (a netlist Validate would refuse), 0 otherwise — warnings,
-// constants and untestable faults are reported but do not fail the run,
-// so redundant-by-design circuits like the paper's full adder stay green
-// in CI.
+// The exit status is 2 on a usage error (a negative -top) or when any
+// circuit carries Error-severity diagnostics (a netlist Validate would
+// refuse), 0 otherwise — warnings, constants and untestable faults are
+// reported but do not fail the run, so redundant-by-design circuits like
+// the paper's full adder stay green in CI.
 package main
 
 import (
@@ -48,13 +49,16 @@ func main() {
 	var (
 		netlist  = flag.String("netlist", "", "netlist file (.v = structural Verilog, otherwise the internal/logic format)")
 		jsonMode = flag.Bool("json", false, "emit the reports as a JSON array")
-		noFaults = flag.Bool("no-faults", false, "skip the OBD untestability and hard-fault passes")
-		proofs   = flag.Bool("proofs", false, "print the implication chains behind constants and refutations")
+		noFaults = flag.Bool("no-faults", false, "skip the exact OBD census and hard-fault passes")
+		proofs   = flag.Bool("proofs", false, "print the implication chains behind constants and the testable faults' witness pairs")
 		topHard  = flag.Int("top", 10, "hard-fault ranking length (0 = all)")
-		exact    = flag.Bool("sat", false, "run the exact SAT prover: complete testable/untestable verdicts with witnesses and RUP proofs")
 	)
 	flag.Var(&circuits, "circuit", "built-in circuit (fulladder, c17, mux41, rca<N>, parity<N>); repeatable")
 	flag.Parse()
+	if *topHard < 0 {
+		fmt.Fprintf(os.Stderr, "obdlint: -top must be >= 0, got %d\n", *topHard)
+		os.Exit(2)
+	}
 
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "obdlint:", err)
@@ -99,7 +103,6 @@ func main() {
 		reports = append(reports, netcheck.Analyze(c, netcheck.Options{
 			SkipFaults: *noFaults,
 			TopHard:    *topHard,
-			Exact:      *exact,
 		}))
 	}
 
@@ -158,31 +161,6 @@ func printReport(r *netcheck.Report, proofs bool) {
 		for _, k := range r.Constants {
 			fmt.Printf("  proof of %s=%v:\n", k.Net, k.Val)
 			printProof(k.Proof)
-		}
-	}
-	if r.Verdicts != nil {
-		n := r.UntestableCount()
-		fmt.Printf("  OBD universe: %d faults, %d proved untestable (%.1f%%)\n",
-			len(r.Verdicts), n, 100*float64(n)/float64(max(len(r.Verdicts), 1)))
-		for _, v := range r.Verdicts {
-			if !v.Untestable {
-				continue
-			}
-			detail := string(v.Reason)
-			if len(v.Dominators) > 0 {
-				detail += " (dominators: " + strings.Join(v.Dominators, ", ") + ")"
-			}
-			fmt.Printf("    untestable %s: %s\n", v.Fault, detail)
-			if proofs {
-				for _, p := range v.Pairs {
-					if p.PinConflict {
-						fmt.Printf("      pair %s frame %d: tied-net pin conflict\n", p.Pair, p.Frame)
-						continue
-					}
-					fmt.Printf("      pair %s frame %d:\n", p.Pair, p.Frame)
-					printProof(p.Proof)
-				}
-			}
 		}
 	}
 	if r.Exact != nil {

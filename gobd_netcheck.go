@@ -1,7 +1,6 @@
 // Static-analysis layer of the public facade: netlist lint, implication
-// -proved constants, the structural (one-sided) OBD untestability prover,
-// the exact SAT-backed proof engine with checkable RUP certificates, and
-// combinational equivalence checking.
+// -proved constants, the exact SAT-backed OBD prover with checkable RUP
+// certificates, and combinational equivalence checking.
 package gobd
 
 import (
@@ -12,13 +11,14 @@ import (
 // Static netlist analysis layer (cmd/obdlint front-end).
 type (
 	// NetReport is a full netcheck analysis: lint diagnostics, constant
-	// nets, OBD untestability verdicts and a SCOAP hard-fault ranking.
+	// nets, the exact OBD census with its untestability view, and a SCOAP
+	// hard-fault ranking.
 	NetReport = netcheck.Report
 	// NetDiagnostic is one structural lint finding.
 	NetDiagnostic = netcheck.Diagnostic
 	// NetcheckOptions tunes the analysis passes.
 	NetcheckOptions = netcheck.Options
-	// OBDVerdict is a per-fault untestability verdict with its proof.
+	// OBDVerdict is the untestability view of one fault's exact verdict.
 	OBDVerdict = netcheck.Verdict
 	// ImplicationProof is a machine-checkable implication chain.
 	ImplicationProof = netcheck.Proof
@@ -30,10 +30,6 @@ var (
 	AnalyzeNetlist = netcheck.Analyze
 	// LintNetlist runs only the structural lint pass.
 	LintNetlist = netcheck.Lint
-	// ProveOBDUntestable attempts a static untestability proof for one
-	// OBD fault; the verdict is sound but one-sided (see DESIGN.md). For
-	// a complete two-sided verdict use ProveOBDExact.
-	ProveOBDUntestable = netcheck.ProveOBD
 	// StaticConstants derives implication-proved constant nets.
 	StaticConstants = netcheck.Constants
 	// VerifyImplicationProof independently replays a proof chain.

@@ -104,8 +104,11 @@ func GenerateOBDTest(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, 
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	if opt.Prune && netcheck.ProveOBD(c, f).Untestable {
-		return nil, Untestable
+	if opt.Prune {
+		//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: DFF-bearing circuits returned Errored above
+		if netcheck.ProveOBDExactBudget(c, f, netcheck.DefaultExactBudget).Untestable() {
+			return nil, Untestable
+		}
 	}
 	tp, st := generateOBDTestWith(c, f, opt, guidance(c, opt))
 	if st == Aborted && opt.SATFallback {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/rand"
 	"testing"
 
 	"gobd/internal/cells"
@@ -9,42 +10,79 @@ import (
 	"gobd/internal/netcheck"
 )
 
+// exactUntestable is the Prune mask: true where netcheck's exact prover
+// proves the fault untestable under the budget Prune uses.
+func exactUntestable(c *logic.Circuit, faults []fault.OBD) []bool {
+	mask := make([]bool, len(faults))
+	for i, v := range netcheck.ProveOBDExactList(c, faults, netcheck.DefaultExactBudget) {
+		mask[i] = v.Untestable()
+	}
+	return mask
+}
+
 // TestPruneAgreesWithSearch checks the Prune contract on the paper's
-// full adder: the pruned run must produce the same verdict for every
-// fault (the prover is sound, so the only permitted drift is a would-be
-// Aborted settling as Untestable) and identical coverage.
+// full adder, c432 (also with a backtrack limit that makes PODEM abort)
+// and seeded random circuits: the pruned run must produce the same
+// verdict for every fault (the only permitted drift is a would-be
+// Aborted settling as Untestable) and identical coverage, and the
+// faults it settles without a PODEM verdict of their own are exactly
+// the exact prover's untestable set.
 func TestPruneAgreesWithSearch(t *testing.T) {
-	c := cells.FullAdderSumLogic()
-	faults, _ := fault.OBDUniverse(c)
-
-	plain := must(GenerateOBDTests(c, faults, DefaultOptions()))
-	opt := DefaultOptions()
-	opt.Prune = true
-	pruned := must(GenerateOBDTests(c, faults, opt))
-
-	if len(plain.Results) != len(pruned.Results) {
-		t.Fatalf("result lengths differ: %d vs %d", len(plain.Results), len(pruned.Results))
+	c432, err := logic.ParseFile("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range plain.Results {
-		a, b := plain.Results[i], pruned.Results[i]
-		if a.Status == b.Status {
-			continue
-		}
-		if a.Status == Aborted && b.Status == Untestable {
-			continue // prover settled what the search gave up on
-		}
-		t.Errorf("%s: status %v without pruning, %v with", a.Fault, a.Status, b.Status)
+	type tc struct {
+		c  *logic.Circuit
+		bt int // PODEM backtrack limit (0 = default)
 	}
-	if plain.Coverage.String() != pruned.Coverage.String() {
-		t.Errorf("coverage drifted: %v vs %v", plain.Coverage, pruned.Coverage)
+	cases := []tc{{cells.FullAdderSumLogic(), 0}, {c432, 0}, {c432, 1}}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cases = append(cases, tc{c: logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 4 + rng.Intn(6), Gates: 10 + rng.Intn(30), Primitive: true})})
 	}
+	drift := 0
+	for _, k := range cases {
+		c := k.c
+		faults, _ := fault.OBDUniverse(c)
+		opt := DefaultOptions()
+		if k.bt > 0 {
+			opt.MaxBacktracks = k.bt
+		}
+		plain := must(GenerateOBDTests(c, faults, opt))
+		opt.Prune = true
+		pruned := must(GenerateOBDTests(c, faults, opt))
 
-	// The statically discharged faults must surface as Untestable results.
-	mask := netcheck.UntestableOBD(c, faults)
-	for i, m := range mask {
-		if m && pruned.Results[i].Status != Untestable {
-			t.Errorf("%s: pruned but status %v", faults[i], pruned.Results[i].Status)
+		if len(plain.Results) != len(pruned.Results) {
+			t.Fatalf("%s: result lengths differ: %d vs %d", c.Name, len(plain.Results), len(pruned.Results))
 		}
+		for i := range plain.Results {
+			a, b := plain.Results[i], pruned.Results[i]
+			if a.Status == b.Status {
+				continue
+			}
+			if a.Status == Aborted && b.Status == Untestable {
+				drift++
+				continue // prover settled what the search gave up on
+			}
+			t.Errorf("%s: %s: status %v without pruning, %v with", c.Name, a.Fault, a.Status, b.Status)
+		}
+		if plain.Coverage.String() != pruned.Coverage.String() {
+			t.Errorf("%s: coverage drifted: %v vs %v", c.Name, plain.Coverage, pruned.Coverage)
+		}
+		for i, m := range exactUntestable(c, faults) {
+			st := pruned.Results[i].Status
+			if m && st != Untestable {
+				t.Errorf("%s: %s: proved untestable but status %v", c.Name, faults[i], st)
+			}
+			if !m && st == Untestable && plain.Results[i].Status != Untestable {
+				t.Errorf("%s: %s: pruned without an untestability proof", c.Name, faults[i])
+			}
+		}
+	}
+	if drift == 0 {
+		t.Error("no Aborted verdict settled as Untestable; the drift path was not exercised")
 	}
 }
 
@@ -74,18 +112,26 @@ func TestPruneWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestPruneSingleFault checks the single-fault entry point honors Prune.
+// TestPruneSingleFault checks the single-fault entry point honors Prune,
+// also on c432 at one backtrack, where PODEM alone aborts on a fault the
+// exact prover proves untestable.
 func TestPruneSingleFault(t *testing.T) {
-	c := cells.FullAdderSumLogic()
-	faults, _ := fault.OBDUniverse(c)
-	opt := DefaultOptions()
-	opt.Prune = true
-	for i, m := range netcheck.UntestableOBD(c, faults) {
-		if !m {
-			continue
-		}
-		if tp, st := GenerateOBDTest(c, faults[i], opt); st != Untestable || tp != nil {
-			t.Fatalf("%s: GenerateOBDTest with Prune returned (%v, %v)", faults[i], tp, st)
+	c432, err := logic.ParseFile("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*logic.Circuit{cells.FullAdderSumLogic(), c432} {
+		faults, _ := fault.OBDUniverse(c)
+		opt := DefaultOptions()
+		opt.Prune = true
+		opt.MaxBacktracks = 1
+		for i, m := range exactUntestable(c, faults) {
+			if !m {
+				continue
+			}
+			if tp, st := GenerateOBDTest(c, faults[i], opt); st != Untestable || tp != nil {
+				t.Fatalf("%s: GenerateOBDTest with Prune returned (%v, %v)", faults[i], tp, st)
+			}
 		}
 	}
 }
@@ -96,7 +142,7 @@ func benchGenerate(b *testing.B, c *logic.Circuit, prune bool) {
 	opt.Prune = prune
 	pruned := 0
 	if prune {
-		for _, m := range netcheck.UntestableOBD(c, faults) {
+		for _, m := range exactUntestable(c, faults) {
 			if m {
 				pruned++
 			}
@@ -112,7 +158,7 @@ func benchGenerate(b *testing.B, c *logic.Circuit, prune bool) {
 	}
 }
 
-// BenchmarkGenerateUnpruned/Pruned measure what the static prover saves
+// BenchmarkGenerateUnpruned/Pruned measure what the exact prover saves
 // (or costs) PODEM. The redundant full adder is where pruning pays —
 // 13/78 faults never enter the search; the irredundant ripple-carry
 // adder bounds the overhead of proving nothing (see EXPERIMENTS.md).

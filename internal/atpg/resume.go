@@ -49,9 +49,9 @@ type genModel[F fmt.Stringer, T any] struct {
 	// pair, when set, is the test a Detected Result carries. Models
 	// without it (stuck-at) keep their tests in the set only.
 	pair func(t T) *TwoPattern
-	// prune, when set, statically proves a fault untestable before
-	// generation (OBD Options.Prune).
-	prune func(f F) bool
+	// prune, when set, marks the faults of a shard that are proved
+	// untestable before generation (OBD Options.Prune).
+	prune func(fs []F) []bool
 	// resolve, when set, settles an Aborted verdict in the sequential
 	// commit loop (OBD Options.SATFallback), so speculation results stay
 	// advisory and worker counts cannot change what is committed.
@@ -114,8 +114,9 @@ func clampUpto(upto, start, n int) int {
 }
 
 // resumeTests is the generation driver: prefix check, fault-dropping
-// state regrade, static pruning, then the speculate/commit loop with
-// fault dropping, and the final grade once the whole list is committed.
+// state regrade, untestability pruning, then the speculate/commit loop
+// with fault dropping, and the final grade once the whole list is
+// committed.
 // The returned set is nil only when the circuit or the prior is
 // rejected; otherwise it holds every committed Result, also alongside a
 // cancellation error.
@@ -170,16 +171,23 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 		}
 	}
 	if m.prune != nil {
-		// Static untestability proofs settle tail faults before the
-		// generator sees them (committed indices already carry their
-		// verdicts).
-		pruned := make([]bool, n-start)
-		rep := s.ForEachCtx(ctx, n-start, func(k int) error {
-			pruned[k] = m.prune(faults[start+k])
-			return nil
+		// Untestability proofs settle tail faults before the generator
+		// sees them (committed indices already carry their verdicts),
+		// sharded as the regrade above. Validate reset the lazy index,
+		// which is not safe to build from several workers at once. A
+		// shard that panics leaves its faults unpruned.
+		c.Index()
+		tail := n - start
+		pruned := make([]bool, tail)
+		err := s.runCtx(ctx, tail, gradeGrain(tail, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
+			_ = protect(func() error {
+				copy(pruned[lo:hi], m.prune(faults[start+lo:start+hi]))
+				return nil
+			})
+			ws.Items += int64(hi - lo)
 		})
-		if rep.Err != nil {
-			return ts, rep.Err
+		if err != nil {
+			return ts, err
 		}
 		for k, p := range pruned {
 			if p {
@@ -319,7 +327,15 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 		pair:   pairRef,
 	}
 	if opt.Prune {
-		m.prune = func(f fault.OBD) bool { return netcheck.ProveOBD(c, f).Untestable }
+		m.prune = func(fs []fault.OBD) []bool {
+			//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: resumeTests rejects DFF-bearing circuits with a typed *SequentialCircuitError before pruning
+			vs := netcheck.ProveOBDExactList(c, fs, netcheck.DefaultExactBudget)
+			out := make([]bool, len(vs))
+			for i, v := range vs {
+				out[i] = v.Untestable()
+			}
+			return out
+		}
 	}
 	if opt.SATFallback {
 		m.resolve = func(f fault.OBD) (TwoPattern, Status) { return pairValue(satResolveOBD(c, f, opt)) }

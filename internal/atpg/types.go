@@ -100,13 +100,13 @@ type Options struct {
 	// backtrace and D-frontier selection. Guidance only affects search
 	// order (and therefore backtrack counts), never completeness.
 	DisableSCOAP bool
-	// Prune runs netcheck's static untestability prover over the OBD fault
-	// list before PODEM and reports the discharged faults as Untestable
-	// without searching. The prover is sound (static-untestable ⊆
-	// PODEM-untestable), so detected/untestable verdicts are unchanged;
-	// the only possible drift is a fault PODEM would have Aborted on being
-	// settled as Untestable — an accuracy improvement. Only OBD generation
-	// consults it.
+	// Prune runs netcheck's exact prover (ProveOBDExactList under
+	// DefaultExactBudget) over the OBD fault list before PODEM and reports
+	// the faults it proves untestable as Untestable without searching. A
+	// fault whose budget runs out stays with PODEM, so detected/untestable
+	// verdicts are unchanged; the only possible drift is a fault PODEM
+	// would have Aborted on being settled as Untestable — an accuracy
+	// improvement. Only OBD generation consults it.
 	Prune bool
 	// BacktrackSink, when non-nil, accumulates the PODEM backtracks spent
 	// by the generator — the observable of the guidance ablation.

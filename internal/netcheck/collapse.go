@@ -8,17 +8,17 @@ import (
 // This file extends fault.CollapseOBD's same-gate equivalence with a
 // structural cross-gate rule, the inverter-chain merge. Let gate g drive
 // net s, let s feed EXACTLY one gate — an inverter h — and let s not be a
-// primary output. Then h is the first entry netcheck's dominator
-// computation returns for any fault on g (the one-fanout cone makes it a
-// dominator trivially), and more: every faulty value of s is observable
-// only through h, and h adds no masking of its own. For a fault f of g
-// that is EDGE-COMPLETE (excited by every complete local pair with its
-// output edge — series NMOS/PMOS stacks and inverter devices, see
-// fault.OBD.EdgeComplete), the matching-direction fault of h is excited
-// by exactly the same complete vector pairs, and forcing s to its
-// frame-1 value propagates through h to exactly the value h's own fault
-// forces. The two faults are therefore detected by precisely the same
-// complete pairs — per-pair, not merely per-set.
+// primary output. Then h dominates every propagation path of any fault
+// on g (the one-fanout cone makes it a dominator trivially), and more:
+// every faulty value of s is observable only through h, and h adds no
+// masking of its own. For a fault f of g that is EDGE-COMPLETE (excited
+// by every complete local pair with its output edge — series NMOS/PMOS
+// stacks and inverter devices, see fault.OBD.EdgeComplete), the
+// matching-direction fault of h is excited by exactly the same complete
+// vector pairs, and forcing s to its frame-1 value propagates through h
+// to exactly the value h's own fault forces. The two faults are
+// therefore detected by precisely the same complete pairs — per-pair,
+// not merely per-set.
 //
 // The equivalence needs completeness: with X lanes, f additionally
 // demands g's local values known in both frames, which h's fault does

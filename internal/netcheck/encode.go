@@ -226,6 +226,33 @@ func (b *cnfBuilder) assertPODiff(x *logic.Index, vars, fvars []sat.Lit, cone []
 	b.add(ds...)
 }
 
+// sideVal is one value an excitation pair demands of a net.
+type sideVal struct {
+	net string
+	val logic.Value
+}
+
+// demandByNet folds per-pin values onto the gate's distinct input nets;
+// conflict is true when a tied net is asked for both values.
+func demandByNet(g *logic.Gate, pins []logic.Value) (out []sideVal, conflict bool) {
+	idx := make(map[string]int)
+	for pi, in := range g.Inputs {
+		v := pins[pi]
+		if !v.IsKnown() {
+			continue
+		}
+		if j, ok := idx[in]; ok {
+			if out[j].val != v {
+				return nil, true
+			}
+			continue
+		}
+		idx[in] = len(out)
+		out = append(out, sideVal{net: in, val: v})
+	}
+	return out, false
+}
+
 // demandUnits asserts folded local net values as unit clauses.
 func (b *cnfBuilder) demandUnits(x *logic.Index, vars []sat.Lit, demands []sideVal) {
 	for _, d := range demands {

@@ -1,15 +1,14 @@
 package netcheck
 
-// The exact OBD prover. ProveOBD (untestable.go) is one-sided: built on
-// implication closure, it can prove untestability but never testability.
-// This file closes the gap with a complete decision procedure in two
-// passes, the classic SAT-based ATPG flow. Simulation goes first: a fixed
-// set of seeded random complete pairs is graded on the event engine
-// (fault.PairGrader), and a fault's first detecting pair is its witness.
-// The faults no pair detects, the residue, go to SAT: every excitation
-// pair becomes two instances (frame-1 justification, frame-2 excitation +
-// propagation; see encode.go), and the CDCL solver decides each one
-// outright. The outcome is a total verdict carrying its own evidence —
+// The exact OBD prover, the package's one untestability prover: a
+// complete decision procedure in two passes, the classic SAT-based ATPG
+// flow. Simulation goes first: a fixed set of seeded random complete
+// pairs is graded on the event engine (fault.PairGrader), and a fault's
+// first detecting pair is its witness. The faults no pair detects, the
+// residue, go to SAT: every excitation pair becomes two instances
+// (frame-1 justification, frame-2 excitation + propagation; see
+// encode.go), and the CDCL solver decides each one outright. The outcome
+// is a total verdict carrying its own evidence —
 //
 //   - Testable: a concrete two-pattern witness, named by the excitation
 //     pair it realizes and replayable through the gross-delay simulation
@@ -26,7 +25,8 @@ package netcheck
 // decided over their combinational core. VerifyExactVerdict trusts
 // nothing from the prover: it rebuilds every CNF deterministically and
 // replays witnesses by scalar simulation rather than through any CNF or
-// the event engine.
+// the event engine. Analyze's census, /v1/lint and atpg's Prune and
+// SATFallback options all read their verdicts from here.
 
 import (
 	"fmt"
@@ -43,6 +43,15 @@ import (
 // bounds the worst case on adversarial inputs; faults that exceed it
 // come back Aborted rather than wrong.
 const DefaultExactBudget = 50000
+
+// Reason explains why a fault was proved untestable.
+type Reason string
+
+// Untestability reasons.
+const (
+	ReasonNoExcitation Reason = "no-excitation-pairs"
+	ReasonPairsRefuted Reason = "all-pairs-refuted"
+)
 
 // ExactWitness is a testability certificate: a concrete two-pattern,
 // named by the excitation pair it realizes.
@@ -74,6 +83,11 @@ type ExactVerdict struct {
 	Witness  *ExactWitness     `json:"witness,omitempty"`
 	Pairs    []ExactRefutation `json:"pairs,omitempty"`
 }
+
+// Untestable reports whether the verdict proves the fault untestable: it
+// is neither Testable nor Aborted, since an exhausted budget proves
+// nothing.
+func (v ExactVerdict) Untestable() bool { return !v.Testable && !v.Aborted }
 
 // ExactProofError reports why an exact verdict failed verification.
 type ExactProofError struct {

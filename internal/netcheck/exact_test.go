@@ -105,39 +105,6 @@ func TestExactMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestExactSupersetOfStructural pins the relationship between the two
-// provers: everything the one-sided structural prover discharges, the
-// complete prover must also prove untestable (never testable, never
-// aborted under an unlimited budget).
-func TestExactSupersetOfStructural(t *testing.T) {
-	checked := 0
-	for _, seed := range []int64{7, 11, 13, 17, 19, 23} {
-		rng := rand.New(rand.NewSource(seed))
-		c := logic.RandomCircuit(rng, logic.RandomOptions{
-			Inputs:    3 + rng.Intn(4),
-			Gates:     6 + rng.Intn(10),
-			Primitive: true,
-		})
-		faults, _ := fault.OBDUniverse(c)
-		structural := netcheck.ProveOBDList(c, faults)
-		for i, sv := range structural {
-			if !sv.Untestable {
-				continue
-			}
-			checked++
-			ev := netcheck.ProveOBDExact(c, faults[i])
-			if ev.Testable || ev.Aborted {
-				t.Errorf("seed %d: %s structurally untestable but exact says testable=%v aborted=%v",
-					seed, faults[i], ev.Testable, ev.Aborted)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("property test never exercised the structural prover")
-	}
-	t.Logf("cross-checked %d structural discharges against the exact prover", checked)
-}
-
 // TestPODEMImpliesSATTestable pins the other inclusion: any fault PODEM
 // finds a test for must be SAT-testable, and the SAT witness must be a
 // working test in its own right.
@@ -294,14 +261,22 @@ func TestExactBudgetAborts(t *testing.T) {
 	faults, _ := fault.OBDUniverse(c)
 	full := netcheck.ProveOBDExactList(c, faults, 0)
 	tiny := netcheck.ProveOBDExactList(c, faults, 1)
+	aborted := 0
 	for i := range tiny {
 		if tiny[i].Aborted {
+			aborted++
+			if tiny[i].Untestable() {
+				t.Errorf("%s: an aborted verdict reads as untestable", faults[i])
+			}
 			continue
 		}
 		if tiny[i].Testable != full[i].Testable {
 			t.Errorf("%s: budget run classified testable=%v, unlimited run %v",
 				faults[i], tiny[i].Testable, full[i].Testable)
 		}
+	}
+	if aborted == 0 {
+		t.Fatal("a one-conflict budget aborted nothing; the budget path was not exercised")
 	}
 	r := netcheck.ExactAnalyze(c, 0)
 	if r.Faults != len(faults) || r.Testable+r.Untestable+r.Aborted != r.Faults {
@@ -312,20 +287,30 @@ func TestExactBudgetAborts(t *testing.T) {
 	}
 }
 
-// TestAnalyzeExactStanza checks the Report wiring: Options.Exact hangs
-// an ExactReport off Analyze's result under the "sat" JSON key.
+// TestAnalyzeExactStanza checks the Report wiring: the fault passes
+// always hang an ExactReport off Analyze's result under the "sat" JSON
+// key, Verdicts is its untestability view, and SkipFaults drops both.
 func TestAnalyzeExactStanza(t *testing.T) {
 	c := cells.FullAdderSumLogic()
-	r := netcheck.Analyze(c, netcheck.Options{Exact: true})
+	r := netcheck.Analyze(c, netcheck.Options{})
 	if r.Exact == nil {
-		t.Fatal("Options.Exact set but Report.Exact is nil")
+		t.Fatal("fault passes ran but Report.Exact is nil")
 	}
-	if r.Exact.Untestable != 13 || r.Exact.Testable != 65 {
-		t.Fatalf("exact stanza census = %d/%d, want 65 testable / 13 untestable",
-			r.Exact.Testable, r.Exact.Untestable)
+	if r.Exact.Untestable != 13 || r.Exact.Testable != 65 || r.Exact.Aborted != 0 {
+		t.Fatalf("exact stanza census = %d/%d/%d, want 65 testable / 13 untestable / 0 aborted",
+			r.Exact.Testable, r.Exact.Untestable, r.Exact.Aborted)
 	}
-	if r2 := netcheck.Analyze(c, netcheck.Options{}); r2.Exact != nil {
-		t.Fatal("Report.Exact attached without Options.Exact")
+	if len(r.Verdicts) != len(r.Exact.Verdicts) {
+		t.Fatalf("%d verdicts for %d exact verdicts", len(r.Verdicts), len(r.Exact.Verdicts))
+	}
+	for i, v := range r.Verdicts {
+		ev := r.Exact.Verdicts[i]
+		if v.Fault != ev.Fault || v.Untestable != ev.Untestable() || v.Reason != ev.Reason {
+			t.Fatalf("verdict %d %+v is not the view of exact verdict %+v", i, v, ev)
+		}
+	}
+	if r2 := netcheck.Analyze(c, netcheck.Options{SkipFaults: true}); r2.Exact != nil || r2.Verdicts != nil {
+		t.Fatal("SkipFaults set but the census ran")
 	}
 }
 
@@ -471,7 +456,7 @@ func TestExactSequentialCore(t *testing.T) {
 	if !reflect.DeepEqual(r.Verdicts, verdicts) {
 		t.Fatal("ExactAnalyze and ProveOBDExactList disagree on s27")
 	}
-	if a := netcheck.Analyze(c, netcheck.Options{Exact: true}); !reflect.DeepEqual(a.Exact.Verdicts, verdicts) {
+	if a := netcheck.Analyze(c, netcheck.Options{}); !reflect.DeepEqual(a.Exact.Verdicts, verdicts) {
 		t.Fatal("Analyze's exact stanza differs from ProveOBDExactList on s27")
 	}
 	for i, f := range faults {

@@ -8,8 +8,8 @@ import (
 )
 
 // HardFault is one entry of the SCOAP-ranked report over the faults the
-// prover could not discharge: the ones PODEM will actually have to work
-// for, ordered by estimated effort.
+// exact census did not prove untestable: the ones PODEM will actually
+// have to work for, ordered by estimated effort.
 type HardFault struct {
 	Fault string `json:"fault"`
 	// Cost = CC + CO for the cheapest excitation pair.

@@ -27,7 +27,7 @@ import (
 // assumptions, so a derived contradiction proves no such assignment
 // exists. The converse is false by design — a fixpoint without
 // contradiction proves nothing (implication closure is incomplete), which
-// is why the OBD prover built on top may only ever prove untestability.
+// is why Constants reports a net only when it refutes the opposite value.
 
 // Proof step rules.
 const (

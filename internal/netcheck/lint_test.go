@@ -173,7 +173,7 @@ func TestReportErrorsGating(t *testing.T) {
 	if r.Errors() == 0 {
 		t.Fatal("broken circuit reported no errors")
 	}
-	if r.Verdicts != nil || r.Constants != nil || r.HardFaults != nil {
+	if r.Verdicts != nil || r.Constants != nil || r.HardFaults != nil || r.Exact != nil {
 		t.Fatal("Analyze ran fault passes on a broken circuit")
 	}
 }
@@ -262,10 +262,11 @@ func TestLintFFSelfLoop(t *testing.T) {
 
 // TestAnalyzeSequentialCore checks Analyze routes the fault-level passes
 // of a DFF-bearing circuit through its combinational core: the report
-// counts flip-flops and carries verdicts over the core's OBD universe.
+// counts flip-flops and carries verdicts over the core's OBD universe,
+// each the untestability view of the exact stanza's verdict.
 func TestAnalyzeSequentialCore(t *testing.T) {
 	c := seqCircuit(t)
-	r := Analyze(c, Options{Exact: true})
+	r := Analyze(c, Options{})
 	if r.FFs != 1 {
 		t.Fatalf("Report.FFs = %d, want 1", r.FFs)
 	}
@@ -282,5 +283,12 @@ func TestAnalyzeSequentialCore(t *testing.T) {
 	}
 	if r.Exact == nil || r.Exact.Faults != len(coreFaults) {
 		t.Fatalf("exact pass did not run over the core universe: %+v", r.Exact)
+	}
+	for i, v := range r.Verdicts {
+		ev := r.Exact.Verdicts[i]
+		if v.Fault != coreFaults[i].String() || v.Fault != ev.Fault ||
+			v.Untestable != ev.Untestable() || v.Reason != ev.Reason {
+			t.Fatalf("verdict %d %+v is not the view of exact verdict %+v", i, v, ev)
+		}
 	}
 }

@@ -11,18 +11,19 @@
 //   - a static implication engine (Implications) doing constant
 //     propagation from structurally tied nets and direct implications
 //     across gates, with every derived value carrying a machine-checkable
-//     proof step chain;
-//   - an OBD untestability prover (ProveOBD) that combines the paper's
-//     local excitation pairs with implication closure and structural
-//     dominators to prove faults untestable without invoking PODEM. The
-//     prover is one-sided by design: it may prove untestability, never
-//     testability (see DESIGN.md, "Static analysis");
-//   - a SCOAP-backed hard-fault report (HardFaults) ranking the surviving
-//     faults by controllability/observability cost.
+//     proof step chain; it proves the constant-net lint (Constants);
+//   - the exact OBD prover (ProveOBDExactList, exact.go), the one
+//     untestability census: seeded random pairs graded on the event
+//     engine find witnesses, and SAT decides the rest, so every verdict
+//     is testable with a witness, untestable with RUP proofs, or Aborted
+//     under its conflict budget;
+//   - a SCOAP-backed hard-fault report (HardFaults) ranking the faults
+//     the census did not prove untestable by controllability/
+//     observability cost.
 //
 // Analyze bundles all passes into one Report; cmd/obdlint surfaces it as
-// text or JSON, and atpg.Options.Prune feeds generator fault lists
-// through the prover.
+// text or JSON, and atpg.Options.Prune discharges the census's
+// untestable faults before PODEM runs.
 package netcheck
 
 import (
@@ -118,16 +119,25 @@ type Report struct {
 	// assignment (empty unless the circuit lints clean enough to run the
 	// implication engine).
 	Constants []Constant `json:"constants,omitempty"`
-	// Verdicts holds one OBD untestability verdict per fault of the
-	// circuit's OBD universe (nil when the universe was not analyzed).
+	// Verdicts holds one untestability verdict per fault of the circuit's
+	// OBD universe, a view of Exact.Verdicts (nil when the universe was
+	// not analyzed).
 	Verdicts []Verdict `json:"verdicts,omitempty"`
-	// HardFaults ranks the faults the prover could NOT discharge by SCOAP
-	// effort, hardest first.
+	// HardFaults ranks the faults the census did NOT prove untestable by
+	// SCOAP effort, hardest first.
 	HardFaults []HardFault `json:"hard_faults,omitempty"`
 	// Exact holds the complete SAT-backed verdicts (testable with
-	// witness / untestable with proof / aborted) when Options.Exact asked
-	// for them; the wire key is "sat".
+	// witness / untestable with proof / aborted) whenever the fault
+	// passes run; the wire key is "sat".
 	Exact *ExactReport `json:"sat,omitempty"`
+}
+
+// Verdict is the untestability view of one fault's exact verdict
+// (ExactVerdict.Untestable): an Aborted verdict is not untestable.
+type Verdict struct {
+	Fault      string `json:"fault"`
+	Untestable bool   `json:"untestable"`
+	Reason     Reason `json:"reason,omitempty"`
 }
 
 // Errors reports how many Error-severity diagnostics the lint pass found.
@@ -141,30 +151,13 @@ func (r *Report) Errors() int {
 	return n
 }
 
-// UntestableCount returns how many faults the prover discharged.
-func (r *Report) UntestableCount() int {
-	n := 0
-	for _, v := range r.Verdicts {
-		if v.Untestable {
-			n++
-		}
-	}
-	return n
-}
-
 // Options tunes Analyze.
 type Options struct {
-	// SkipFaults disables the OBD untestability and hard-fault passes
-	// (lint and constants only).
+	// SkipFaults disables the OBD census and hard-fault passes (lint and
+	// constants only).
 	SkipFaults bool
 	// TopHard caps the hard-fault ranking length (0 = all).
 	TopHard int
-	// Exact runs the SAT-backed exact prover over the OBD universe and
-	// attaches an ExactReport (ignored under SkipFaults).
-	Exact bool
-	// ExactBudget caps the solver conflicts per SAT instance when Exact
-	// is set (0 = DefaultExactBudget).
-	ExactBudget int
 }
 
 // Analyze runs every pass that the circuit's structural health permits:
@@ -215,16 +208,15 @@ func Analyze(c *logic.Circuit, opt Options) *Report {
 		return r
 	}
 	faults, _ := fault.OBDUniverse(c)
-	r.Verdicts = ProveOBDList(c, faults)
+	r.Exact = ExactAnalyze(c, 0)
+	r.Verdicts = make([]Verdict, len(faults))
 	var surviving []fault.OBD
-	for i, v := range r.Verdicts {
-		if !v.Untestable {
+	for i, v := range r.Exact.Verdicts {
+		r.Verdicts[i] = Verdict{Fault: v.Fault, Untestable: v.Untestable(), Reason: v.Reason}
+		if !v.Untestable() {
 			surviving = append(surviving, faults[i])
 		}
 	}
 	r.HardFaults = HardFaults(c, surviving, opt.TopHard)
-	if opt.Exact {
-		r.Exact = ExactAnalyze(c, opt.ExactBudget)
-	}
 	return r
 }

@@ -326,14 +326,12 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		return &job{
 			digest: dig,
 			compute: func(ctx context.Context, sched *atpg.Scheduler) (any, error) {
-				// Exact is always on: the SAT verdicts are a pure function
-				// of the circuit (under the fixed default budget), so the
-				// cache digest over (fingerprint, canon) still identifies
-				// the response — no cache-key change, no invalidation.
+				// The exact census is a pure function of the circuit
+				// (under the fixed default budget), so the cache digest
+				// over (fingerprint, canon) identifies the response.
 				resp := &LintResponse{Report: netcheck.Analyze(c, netcheck.Options{
 					SkipFaults: req.SkipFaults,
 					TopHard:    req.TopHard,
-					Exact:      true,
 				})}
 				if fp != (logic.Fingerprint{}) {
 					resp.Fingerprint = fp.String()

@@ -87,8 +87,9 @@ type ATPGRequest struct {
 	// with no style defaults to enhanced; combinational requests leave it
 	// empty, keeping their cache digests unchanged.
 	Style string `json:"style,omitempty"`
-	// Prune runs netcheck's static untestability prover before PODEM
-	// (combinational OBD model only; see atpg.Options.Prune).
+	// Prune settles the faults netcheck's exact prover proves untestable
+	// before PODEM (combinational OBD model only; see
+	// atpg.Options.Prune).
 	Prune bool `json:"prune,omitempty"`
 	// MaxBacktracks overrides the per-fault PODEM backtrack limit (0 =
 	// the package default; combinational generators only).
@@ -117,7 +118,7 @@ type ATPGResponse struct {
 // LintRequest asks for static netlist analysis.
 type LintRequest struct {
 	Netlist string `json:"netlist"`
-	// SkipFaults disables the OBD untestability and hard-fault passes.
+	// SkipFaults disables the exact OBD census and hard-fault passes.
 	SkipFaults bool `json:"skip_faults,omitempty"`
 	// TopHard caps the hard-fault ranking length (0 = all).
 	TopHard int `json:"top_hard,omitempty"`
