@@ -1,10 +1,13 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"gobd/internal/cells"
 	"gobd/internal/fault"
 	"gobd/internal/logic"
 	"gobd/internal/netcheck"
@@ -366,5 +369,66 @@ func TestPairGraderWordsMatchesPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSharedScratchPoolRace: every grader takes its scratch from one
+// package-level pool, so scratch sized for one circuit's index serves
+// graders of another. Graders of the full adder (partial pairs, dual
+// rail) and of c432 (complete pairs, single rail) grade interleaved from
+// several goroutines, and every fault's first detecting pair must equal
+// a DetectsOBD scan. Run it under -race.
+func TestSharedScratchPoolRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type set struct {
+		pg     *PairGrader
+		faults []fault.OBD
+		first  []int
+	}
+	fa, c432 := cells.FullAdderSumLogic(), loadC432(t)
+	var sets []set
+	for _, cs := range []struct {
+		c     *logic.Circuit
+		tests []TwoPattern
+	}{
+		{fa, randomTests(rng, fa, 100)},
+		{c432, completeRandomTests(rng, c432, 24)},
+	} {
+		c, tests := cs.c, cs.tests
+		faults, _ := fault.OBDUniverse(c)
+		first := make([]int, len(faults))
+		for fi, f := range faults {
+			first[fi] = -1
+			for ti, tp := range tests {
+				if DetectsOBD(c, f, tp) {
+					first[fi] = ti
+					break
+				}
+			}
+		}
+		sets = append(sets, set{NewPairGrader(c, tests), faults, first})
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, workers) // each worker sends at most once
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				s := sets[(w+round)%len(sets)]
+				for fi, f := range s.faults {
+					if got := s.pg.FirstDetecting(f); got != s.first[fi] {
+						errs <- fmt.Sprintf("worker %d: %v first detected by pair %d, DetectsOBD scan %d", w, f, got, s.first[fi])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -8,15 +8,6 @@ import (
 	"gobd/internal/netcheck"
 )
 
-// guidance returns the SCOAP testability measures for PODEM steering, or
-// nil when disabled.
-func guidance(c *logic.Circuit, opt *Options) *logic.Testability {
-	if opt.DisableSCOAP {
-		return nil
-	}
-	return logic.ComputeTestability(c)
-}
-
 // drain accumulates an engine's backtracks into the configured sink.
 func drain(opt *Options, engines ...*podemEngine) {
 	if opt.BacktrackSink == nil {
@@ -36,15 +27,14 @@ func GenerateStuckAtTest(c *logic.Circuit, f fault.StuckAt, opt *Options) (Patte
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	return generateStuckAtTestWith(c, f, opt, guidance(c, opt))
+	return generateStuckAtTestWith(c, f, opt, newPodemView(c, opt))
 }
 
-// generateStuckAtTestWith is GenerateStuckAtTest with the SCOAP guidance
-// precomputed, so batch drivers share one testability analysis across
-// faults (and workers).
-func generateStuckAtTestWith(c *logic.Circuit, f fault.StuckAt, opt *Options, tb *logic.Testability) (Pattern, Status) {
-	req := map[string]logic.Value{f.Net: f.V.Not()}
-	e := newPodem(c, req, f.Net, f.V, true, opt.MaxBacktracks, tb)
+// generateStuckAtTestWith is GenerateStuckAtTest over a prebuilt PODEM
+// view, so batch drivers share one index view and testability analysis
+// across faults (and workers).
+func generateStuckAtTestWith(c *logic.Circuit, f fault.StuckAt, opt *Options, pv *podemView) (Pattern, Status) {
+	e := newPodem(pv, []netReq{{net: f.Net, val: f.V.Not()}}, f.Net, f.V, true, opt.MaxBacktracks)
 	p, st := e.run()
 	drain(opt, e)
 	if st != Detected {
@@ -65,25 +55,25 @@ func GenerateTransitionTest(c *logic.Circuit, f fault.Transition, opt *Options) 
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	return generateTransitionTestWith(c, f, opt, guidance(c, opt))
+	return generateTransitionTestWith(c, f, opt, newPodemView(c, opt))
 }
 
-// generateTransitionTestWith is GenerateTransitionTest with the SCOAP
-// guidance precomputed.
-func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Options, tb *logic.Testability) (*TwoPattern, Status) {
+// generateTransitionTestWith is GenerateTransitionTest over a prebuilt
+// PODEM view.
+func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Options, pv *podemView) (*TwoPattern, Status) {
 	var from, to logic.Value
 	if f.Rising {
 		from, to = logic.Zero, logic.One
 	} else {
 		from, to = logic.One, logic.Zero
 	}
-	e2 := newPodem(c, map[string]logic.Value{f.Net: to}, f.Net, from, true, opt.MaxBacktracks, tb)
+	e2 := newPodem(pv, []netReq{{net: f.Net, val: to}}, f.Net, from, true, opt.MaxBacktracks)
 	v2, st := e2.run()
 	drain(opt, e2)
 	if st != Detected {
 		return nil, st
 	}
-	e1 := newPodem(c, map[string]logic.Value{f.Net: from}, "", logic.X, false, opt.MaxBacktracks, tb)
+	e1 := newPodem(pv, []netReq{{net: f.Net, val: from}}, "", logic.X, false, opt.MaxBacktracks)
 	v1, st1 := e1.run()
 	drain(opt, e1)
 	if st1 != Detected {
@@ -95,8 +85,8 @@ func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Optio
 // GenerateOBDTest produces a two-pattern test for an OBD fault by
 // enumerating the gate's local excitation pairs (Section 4.1 of the
 // paper), justifying the first pattern and justifying-and-propagating the
-// second. The generated test is validated with the independent fault
-// simulator before being returned.
+// second. The filled test is validated on the event-driven grader (which
+// the property tests pin to the scalar DetectsOBD) before being returned.
 func GenerateOBDTest(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, Status) {
 	if opt == nil {
 		opt = DefaultOptions()
@@ -110,16 +100,34 @@ func GenerateOBDTest(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, 
 			return nil, Untestable
 		}
 	}
-	tp, st := generateOBDTestWith(c, f, opt, guidance(c, opt))
+	tp, st := generateOBDTestWith(c, f, opt, newPodemView(c, opt))
 	if st == Aborted && opt.SATFallback {
 		return satResolveOBD(c, f, opt)
 	}
 	return tp, st
 }
 
-// generateOBDTestWith is GenerateOBDTest with the SCOAP guidance
-// precomputed.
-func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, tb *logic.Testability) (*TwoPattern, Status) {
+// pinReqs appends to req the values vals demands on g's input pins, one
+// requirement per net. It reports false when one net feeds two pins with
+// different demands.
+func pinReqs(req []netReq, g *logic.Gate, vals []logic.Value) ([]netReq, bool) {
+next:
+	for i, in := range g.Inputs {
+		for _, r := range req {
+			if r.net == in {
+				if r.val != vals[i] {
+					return nil, false
+				}
+				continue next
+			}
+		}
+		req = append(req, netReq{net: in, val: vals[i]})
+	}
+	return req, true
+}
+
+// generateOBDTestWith is GenerateOBDTest over a prebuilt PODEM view.
+func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemView) (*TwoPattern, Status) {
 	pairs := f.ExcitationPairs()
 	if len(pairs) == 0 {
 		return nil, Untestable
@@ -128,19 +136,11 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, tb *logic.
 	for _, pr := range pairs {
 		o1 := f.Gate.Eval(pr.V1)
 		o2 := f.Gate.Eval(pr.V2)
-		req2 := map[string]logic.Value{f.Gate.Output: o2}
-		conflict := false
-		for i, in := range f.Gate.Inputs {
-			if prev, ok := req2[in]; ok && prev != pr.V2[i] {
-				conflict = true // same net feeds two gate pins with different demands
-				break
-			}
-			req2[in] = pr.V2[i]
-		}
-		if conflict {
+		req2, ok := pinReqs([]netReq{{net: f.Gate.Output, val: o2}}, f.Gate, pr.V2)
+		if !ok {
 			continue
 		}
-		e2 := newPodem(c, req2, f.Gate.Output, o1, true, opt.MaxBacktracks, tb)
+		e2 := newPodem(pv, req2, f.Gate.Output, o1, true, opt.MaxBacktracks)
 		v2, st := e2.run()
 		drain(opt, e2)
 		if st == Aborted {
@@ -150,18 +150,11 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, tb *logic.
 		if st != Detected {
 			continue
 		}
-		req1 := map[string]logic.Value{}
-		for i, in := range f.Gate.Inputs {
-			if prev, ok := req1[in]; ok && prev != pr.V1[i] {
-				conflict = true
-				break
-			}
-			req1[in] = pr.V1[i]
-		}
-		if conflict {
+		req1, ok := pinReqs(nil, f.Gate, pr.V1)
+		if !ok {
 			continue
 		}
-		e1 := newPodem(c, req1, "", logic.X, false, opt.MaxBacktracks, tb)
+		e1 := newPodem(pv, req1, "", logic.X, false, opt.MaxBacktracks)
 		v1, st1 := e1.run()
 		drain(opt, e1)
 		if st1 == Aborted {
@@ -172,7 +165,7 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, tb *logic.
 			continue
 		}
 		tp := &TwoPattern{V1: v1.Filled(c, opt.Fill), V2: v2.Filled(c, opt.Fill)}
-		if DetectsOBD(c, f, *tp) {
+		if NewPairGrader(c, []TwoPattern{*tp}).Detects(f) {
 			return tp, Detected
 		}
 		// The pair justified locally but the filled vectors do not detect

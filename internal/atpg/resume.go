@@ -40,7 +40,7 @@ type genSet[T any] struct {
 type genModel[F fmt.Stringer, T any] struct {
 	// gen runs the model's generator for one fault on a pool worker; the
 	// test is meaningful only under Detected.
-	gen func(f F, tb *logic.Testability) (T, Status)
+	gen func(f F, pv *podemView) (T, Status)
 	// grader returns the first-detecting lookup over a test list: whether
 	// some test detects f, and the pair simulations that took.
 	grader func(tests []T) func(f F) (bool, int64)
@@ -140,7 +140,7 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 		ts.Results = append(ts.Results, prior.Results...)
 	}
 	upto = clampUpto(upto, start, n)
-	tb := guidance(c, opt)
+	pv := newPodemView(c, opt)
 	covered := make([]bool, n)
 	done := make([]bool, n)
 	specT := make([]T, n)
@@ -173,10 +173,9 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 	if m.prune != nil {
 		// Untestability proofs settle tail faults before the generator
 		// sees them (committed indices already carry their verdicts),
-		// sharded as the regrade above. Validate reset the lazy index,
-		// which is not safe to build from several workers at once. A
-		// shard that panics leaves its faults unpruned.
-		c.Index()
+		// sharded as the regrade above; the PODEM view built the lazy
+		// index, which is not safe to build from several workers at
+		// once. A shard that panics leaves its faults unpruned.
 		tail := n - start
 		pruned := make([]bool, tail)
 		err := s.runCtx(ctx, tail, gradeGrain(tail, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
@@ -208,7 +207,7 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 		if !done[i] {
 			s.speculate(ctx, i, batch, covered, done, func(j int) {
 				specErr[j] = protect(func() error {
-					specT[j], specSt[j] = m.gen(faults[j], tb)
+					specT[j], specSt[j] = m.gen(faults[j], pv)
 					return nil
 				})
 			})
@@ -319,8 +318,8 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 		opt = DefaultOptions()
 	}
 	m := genModel[fault.OBD, TwoPattern]{
-		gen: func(f fault.OBD, tb *logic.Testability) (TwoPattern, Status) {
-			return pairValue(generateOBDTestWith(c, f, opt, tb))
+		gen: func(f fault.OBD, pv *podemView) (TwoPattern, Status) {
+			return pairValue(generateOBDTestWith(c, f, opt, pv))
 		},
 		grader: obdGrader(c),
 		grade:  s.GradeOBDCtx,
@@ -352,8 +351,8 @@ func (s *Scheduler) ResumeTransitionTestsCtx(ctx context.Context, c *logic.Circu
 		opt = DefaultOptions()
 	}
 	m := genModel[fault.Transition, TwoPattern]{
-		gen: func(f fault.Transition, tb *logic.Testability) (TwoPattern, Status) {
-			return pairValue(generateTransitionTestWith(c, f, opt, tb))
+		gen: func(f fault.Transition, pv *podemView) (TwoPattern, Status) {
+			return pairValue(generateTransitionTestWith(c, f, opt, pv))
 		},
 		grader: scanGrader(c, DetectsTransition),
 		grade:  s.GradeTransitionCtx,
@@ -373,8 +372,8 @@ func (s *Scheduler) ResumeStuckAtTestsCtx(ctx context.Context, c *logic.Circuit,
 		opt = DefaultOptions()
 	}
 	m := genModel[fault.StuckAt, Pattern]{
-		gen: func(f fault.StuckAt, tb *logic.Testability) (Pattern, Status) {
-			return generateStuckAtTestWith(c, f, opt, tb)
+		gen: func(f fault.StuckAt, pv *podemView) (Pattern, Status) {
+			return generateStuckAtTestWith(c, f, opt, pv)
 		},
 		grader: scanGrader(c, DetectsStuckAt),
 		grade:  s.GradeStuckAtCtx,

@@ -18,8 +18,7 @@ import (
 //     words in net-ID-indexed arrays instead of string-keyed maps;
 //   - per fault, decides excitation on the site gate's own words by gate
 //     evaluation (OBD.ExcitedBits), so a grader holds no transistor
-//     networks and constructing one allocates only its blocks and
-//     scratch pool;
+//     networks and constructing one allocates only its blocks;
 //   - per fault, seeds the forced faulty words at the site and pushes
 //     only gates whose input words actually changed through level-ordered
 //     buckets, so each cone gate is evaluated at most once and gates
@@ -28,8 +27,11 @@ import (
 //     patterns are complete: the known rail is constant-1 there, so the
 //     dual-rail evaluation collapses to one word per net (Gate.EvalBits
 //     instead of Gate.EvalBits3), halving both memory traffic and ALU work;
-//   - pools the per-worker scratch (faulty words, dirty marks, level
-//     buckets) in a sync.Pool, so grading allocates nothing per fault.
+//   - takes the per-worker scratch (faulty words, dirty marks, level
+//     buckets) from one package-level sync.Pool that every grader
+//     shares, grown to the grader's index when it is taken, so grading
+//     allocates nothing per fault and a short-lived one-pair grader
+//     reuses the scratch of the graders before it.
 //
 // Two reference oracles check it: the scalar gross-delay simulation
 // (Respond and Detects), which the property tests in event_test.go pin
@@ -58,8 +60,6 @@ type PairGrader struct {
 
 	blocks   []eventBlock
 	complete bool // every block complete: enables single-rail math
-
-	scratch sync.Pool
 }
 
 // eventBlock holds the good-machine frames of up to 64 vector pairs,
@@ -86,16 +86,28 @@ type eventScratch struct {
 	kbuf    []uint64
 }
 
-func newEventScratch(x *logic.Index) *eventScratch {
-	return &eventScratch{
-		fv:      make([]uint64, x.NumNets()),
-		fk:      make([]uint64, x.NumNets()),
-		mark:    make([]uint32, x.NumNets()),
-		qmark:   make([]uint32, len(x.Gates)),
-		buckets: make([][]int32, x.MaxLevel+1),
-		vbuf:    make([]uint64, 0, 8),
-		kbuf:    make([]uint64, 0, 8),
+// scratchPool holds the eventScratch of every grader. A scratch carries
+// no circuit: getScratch fits it to the index at hand, and because each
+// scratch's epoch only grows, a stamp left by one circuit can never read
+// as current for the next.
+var scratchPool = sync.Pool{New: func() any {
+	return &eventScratch{vbuf: make([]uint64, 0, 8), kbuf: make([]uint64, 0, 8)}
+}}
+
+// getScratch takes a scratch from the pool, grown to hold x's nets,
+// gates and levels. Return it with scratchPool.Put.
+func getScratch(x *logic.Index) *eventScratch {
+	sc := scratchPool.Get().(*eventScratch)
+	if n := x.NumNets(); len(sc.mark) < n {
+		sc.fv, sc.fk, sc.mark = make([]uint64, n), make([]uint64, n), make([]uint32, n)
 	}
+	if len(sc.qmark) < len(x.Gates) {
+		sc.qmark = make([]uint32, len(x.Gates))
+	}
+	for len(sc.buckets) <= x.MaxLevel {
+		sc.buckets = append(sc.buckets, nil)
+	}
+	return sc
 }
 
 // grow widens the gather buffers to hold n input words without the
@@ -124,13 +136,10 @@ func (sc *eventScratch) begin() {
 	sc.touched = sc.touched[:0]
 }
 
-// newGrader is the setup both constructors share: the circuit's index
-// and the per-worker scratch pool. The caller appends the blocks.
+// newGrader is the setup both constructors share: the circuit's index.
+// The caller appends the blocks.
 func newGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
-	idx := c.Index()
-	pg := &PairGrader{c: c, idx: idx, n: n, src: src, complete: true}
-	pg.scratch.New = func() any { return newEventScratch(idx) }
-	return pg
+	return &PairGrader{c: c, idx: c.Index(), n: n, src: src, complete: true}
 }
 
 // NewPairGrader packs the n pairs of src into 64-wide blocks over the
@@ -327,8 +336,8 @@ func (pg *PairGrader) FirstDetecting(f OBD) int {
 		}
 		return -1
 	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
+	sc := getScratch(pg.idx)
+	defer scratchPool.Put(sc)
 	for bi := range pg.blocks {
 		b := &pg.blocks[bi]
 		mask := pg.detectMaskEvent(b, f, gp, sc)
@@ -351,8 +360,8 @@ func (pg *PairGrader) CountDetecting(f OBD) int {
 		}
 		return n
 	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
+	sc := getScratch(pg.idx)
+	defer scratchPool.Put(sc)
 	for bi := range pg.blocks {
 		n += bits.OnesCount64(pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
 	}
@@ -402,7 +411,7 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScr
 	sc.fv[site], sc.fk[site] = nfv, nfk
 	sc.mark[site] = sc.epoch
 	sc.touched = append(sc.touched, int32(site))
-	minLvl := len(sc.buckets)
+	minLvl := x.MaxLevel + 1
 	for _, gi := range x.Fanouts[site] {
 		sc.qmark[gi] = sc.epoch
 		lvl := int(x.GateLevel[gi])
@@ -411,7 +420,7 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScr
 			minLvl = lvl
 		}
 	}
-	for lvl := minLvl; lvl < len(sc.buckets); lvl++ {
+	for lvl := minLvl; lvl <= x.MaxLevel; lvl++ {
 		bucket := sc.buckets[lvl]
 		if len(bucket) == 0 {
 			continue

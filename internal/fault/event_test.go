@@ -53,8 +53,8 @@ func eventMasks(pg *PairGrader, f OBD) []uint64 {
 	if gp < 0 {
 		return nil
 	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
+	sc := getScratch(pg.idx)
+	defer scratchPool.Put(sc)
 	out := make([]uint64, 0, len(pg.blocks))
 	for bi := range pg.blocks {
 		out = append(out, pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
@@ -165,8 +165,8 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 	if len(faults) == 0 {
 		t.Fatal("no faults in the universe")
 	}
-	sc := pg.scratch.Get().(*eventScratch)
-	defer pg.scratch.Put(sc)
+	sc := getScratch(pg.idx)
+	defer scratchPool.Put(sc)
 	// Warm pass: lets grow() size the gather buffers once.
 	for _, f := range faults {
 		if gp := pg.idx.GatePos(f.Gate); gp >= 0 {

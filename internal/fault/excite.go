@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"gobd/internal/logic"
@@ -165,16 +166,31 @@ func enumAssignments(n int) [][]logic.Value {
 }
 
 // ExcitationPairs enumerates every complete local input pair that excites
-// the fault.
+// the fault, v1-major in ascending binary order. It packs the 4^n pairs
+// 64 lanes per word and decides them with ExcitedBits, so the transistor
+// networks are never built; pairs share their value slices.
 func (f OBD) ExcitationPairs() []Pair {
 	n := len(f.Gate.Inputs)
 	asg := enumAssignments(n)
+	total := len(asg) * len(asg)
+	w1, w2 := make([]uint64, n), make([]uint64, n)
 	var out []Pair
-	for _, v1 := range asg {
-		for _, v2 := range asg {
-			if f.Excited(v1, v2) {
-				out = append(out, Pair{V1: v1, V2: v2})
+	for base := 0; base < total; base += 64 {
+		lanes := min(64, total-base)
+		for i := range w1 {
+			w1[i], w2[i] = 0, 0
+		}
+		for k := 0; k < lanes; k++ {
+			m1, m2 := (base+k)/len(asg), (base+k)%len(asg)
+			for i := range w1 {
+				w1[i] |= uint64(m1>>i&1) << k
+				w2[i] |= uint64(m2>>i&1) << k
 			}
+		}
+		ex := f.ExcitedBits(f.Gate.EvalBits(w1), f.Gate.EvalBits(w2), w2) & laneMask(lanes)
+		for ; ex != 0; ex &= ex - 1 {
+			p := base + bits.TrailingZeros64(ex)
+			out = append(out, Pair{V1: asg[p/len(asg)], V2: asg[p%len(asg)]})
 		}
 	}
 	return out

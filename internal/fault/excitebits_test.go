@@ -24,9 +24,11 @@ func leavesOf(n *Network, i int) int {
 // TestExcitedBitsMatchesNetworks pins the gate-evaluation excitation the
 // event engine uses (ExcitedBits, packed 64 lanes per word) to the
 // series-parallel tree walk (Excited) for every primitive gate shape, both
-// sides, every pin and every complete local pair (v1, v2). It also checks
-// the structural fact both ExcitedBits and OBDUniverse rely on: each pin
-// drives exactly one leaf per side.
+// sides, every pin and every complete local pair (v1, v2), and requires
+// ExcitationPairs to list exactly the pairs the tree walk excites, in the
+// walk's v1-major order. It also checks the structural fact both
+// ExcitedBits and OBDUniverse rely on: each pin drives exactly one leaf
+// per side.
 func TestExcitedBitsMatchesNetworks(t *testing.T) {
 	type shape struct {
 		t     logic.GateType
@@ -76,6 +78,25 @@ func TestExcitedBitsMatchesNetworks(t *testing.T) {
 		}
 		g := faults[0].Gate
 		asg := enumAssignments(sh.arity)
+		for _, f := range faults {
+			var walk []Pair
+			for _, v1 := range asg {
+				for _, v2 := range asg {
+					if f.Excited(v1, v2) {
+						walk = append(walk, Pair{V1: v1, V2: v2})
+					}
+				}
+			}
+			got := f.ExcitationPairs()
+			if len(got) != len(walk) {
+				t.Fatalf("%s: ExcitationPairs lists %d pairs, tree walk %d", f, len(got), len(walk))
+			}
+			for i := range walk {
+				if !got[i].Equal(walk[i]) {
+					t.Fatalf("%s: ExcitationPairs[%d] = %v, tree walk %v", f, i, got[i], walk[i])
+				}
+			}
+		}
 		total := len(asg) * len(asg)
 		w1 := make([]uint64, sh.arity)
 		w2 := make([]uint64, sh.arity)
@@ -123,6 +144,9 @@ func TestExcitedBitsMatchesNetworks(t *testing.T) {
 		f := OBD{Gate: and, Input: 0, Side: side}
 		if got := f.ExcitedBits(0, ^uint64(0), []uint64{^uint64(0), 0xF0F0}); got != 0 {
 			t.Errorf("%s: composite gate excited lanes %#x", f, got)
+		}
+		if ps := f.ExcitationPairs(); len(ps) != 0 {
+			t.Errorf("%s: composite gate lists excitation pairs %v", f, ps)
 		}
 	}
 }
