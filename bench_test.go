@@ -212,14 +212,15 @@ func BenchmarkATPGGuidance(b *testing.B) {
 // 8-bit NAND-only ripple-carry adder (72 gates, 288 OBD faults, 17 inputs
 // — far beyond exhaustive pair enumeration).
 func BenchmarkScaleRCA8(b *testing.B) {
+	sched := atpg.NewScheduler(0)
 	lc := logic.RippleCarryAdder(8)
 	faults, _ := fault.OBDUniverse(lc)
 	for i := 0; i < b.N; i++ {
-		ts := must(atpg.GenerateOBDTests(lc, faults, nil))
+		ts := must(sched.GenerateOBDTests(lc, faults, nil))
 		if ts.Coverage.Detected != ts.Coverage.Total {
 			b.Fatalf("RCA8 coverage %v, want complete", ts.Coverage)
 		}
-		par := must(atpg.GradeOBDParallel(lc, faults, ts.Tests))
+		par := must(sched.GradeOBD(lc, faults, ts.Tests))
 		if par.Detected != ts.Coverage.Detected {
 			b.Fatalf("parallel grading disagrees: %v vs %v", par, ts.Coverage)
 		}
@@ -234,7 +235,7 @@ func BenchmarkScaleRCA8(b *testing.B) {
 func BenchmarkGradeOBDWorkers(b *testing.B) {
 	lc := logic.RippleCarryAdder(16)
 	faults, _ := fault.OBDUniverse(lc)
-	ts := must(atpg.GenerateOBDTests(lc, faults, nil))
+	ts := must(atpg.NewScheduler(0).GenerateOBDTests(lc, faults, nil))
 	tests := ts.Tests
 	rng := rand.New(rand.NewSource(1))
 	for len(tests) < 512 {

@@ -24,7 +24,8 @@
 // runs launch-on-shift on a combinational circuit whose inputs are all scan
 // cells, chained in declaration order (seq.InputChain). -prune and
 // -sat-fallback tune the combinational OBD generator only: with any other
-// -model, with -style or with -apply they are usage errors too.
+// -model, with -style or with -apply they are usage errors too, as are a
+// negative -max-backtracks, an -n below 1 and a -cycles below 2.
 package main
 
 import (
@@ -51,8 +52,8 @@ func main() {
 		randSeed  = flag.Int64("random-seed", 1, "generator seed for -random-gates")
 		model     = flag.String("model", "obd", "fault model: obd, transition, stuckat, ndetect, los, bist")
 		style     = flag.String("style", "", "scan style for sequential circuits: enhanced, los, loc (lifts the netlist into its scan model and targets the combinational core's OBD universe; -model must be obd)")
-		nDetect   = flag.Int("n", 3, "detection multiplicity for -model ndetect")
-		cycles    = flag.Int("cycles", 256, "stream length for -model bist")
+		nDetect   = flag.Int("n", 3, "detection multiplicity for -model ndetect (at least 1)")
+		cycles    = flag.Int("cycles", 256, "stream length for -model bist (at least 2)")
 		gradeOBD  = flag.Bool("grade-obd", false, "also grade the generated set against the OBD universe")
 		prune     = flag.Bool("prune", false, "settle the OBD faults netcheck's exact prover proves untestable before running PODEM on them (model obd only)")
 		satFB     = flag.Bool("sat-fallback", false, "resolve PODEM aborts with the exact SAT prover (model obd only)")
@@ -68,17 +69,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obdatpg:", err)
 		os.Exit(1)
 	}
-	if *style != "" && *model != "obd" {
-		fmt.Fprintf(os.Stderr, "obdatpg: -style generates OBD tests; it cannot be combined with -model %s\n", *model)
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "obdatpg: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if (*prune || *satFB) && (*model != "obd" || *style != "" || *applyFile != "") {
-		fmt.Fprintln(os.Stderr, "obdatpg: -prune and -sat-fallback apply to combinational -model obd generation only (not -style or -apply)")
-		os.Exit(2)
+	switch {
+	case *style != "" && *model != "obd":
+		usage("-style generates OBD tests; it cannot be combined with -model %s", *model)
+	case (*prune || *satFB) && (*model != "obd" || *style != "" || *applyFile != ""):
+		usage("-prune and -sat-fallback apply to combinational -model obd generation only (not -style or -apply)")
+	case *maxBT < 0:
+		usage("-max-backtracks %d is negative", *maxBT)
+	case *nDetect < 1:
+		usage("-n %d is below 1", *nDetect)
+	case *cycles < 2:
+		usage("-cycles %d is below 2 (fewer than two patterns give no launch pair)", *cycles)
 	}
 	sched := atpg.NewScheduler(*workers)
 	sched.CollectStats = *stats
-	atpg.SetDefaultScheduler(sched)
 	if *stats {
 		defer printStats(sched)
 	}
@@ -112,7 +120,7 @@ func main() {
 			die(err)
 		}
 		faults, _ := fault.OBDUniverse(lc)
-		cov, err := atpg.GradeOBDParallel(lc, faults, saved)
+		cov, err := sched.GradeOBD(lc, faults, saved)
 		if err != nil {
 			die(err)
 		}
@@ -147,7 +155,7 @@ func main() {
 		if len(skipped) > 0 {
 			fmt.Printf("note: %d composite gates carry no OBD faults\n", len(skipped))
 		}
-		res, err := seq.GenerateTests(s, faults, st, nil)
+		res, err := seq.GenerateTestsOn(sched, s, faults, st, nil)
 		if err != nil {
 			die(err)
 		}
@@ -183,7 +191,7 @@ func main() {
 				satStats = &atpg.SATStats{}
 				opt.SATStats = satStats
 			}
-			ts, err := atpg.GenerateOBDTests(lc, faults, opt)
+			ts, err := sched.GenerateOBDTests(lc, faults, opt)
 			if err != nil {
 				die(err)
 			}
@@ -195,7 +203,7 @@ func main() {
 			}
 		case "ndetect":
 			faults, _ := fault.OBDUniverse(lc)
-			ts, err := atpg.GenerateNDetectOBDTests(lc, faults, *nDetect)
+			ts, err := sched.GenerateNDetectOBDTests(lc, faults, *nDetect)
 			if err != nil {
 				die(err)
 			}
@@ -228,14 +236,14 @@ func main() {
 				*cycles, golden, detected, len(faults), aliased)
 			pairs = s.Pairs()
 		case "transition":
-			ts, err := atpg.GenerateTransitionTests(lc, fault.TransitionUniverse(lc), nil)
+			ts, err := sched.GenerateTransitionTests(lc, fault.TransitionUniverse(lc), nil)
 			if err != nil {
 				die(err)
 			}
 			pairs = ts.Tests
 			report2(lc, ts, *verbose)
 		case "stuckat":
-			ts, err := atpg.GenerateStuckAtTests(lc, fault.StuckAtUniverse(lc), nil)
+			ts, err := sched.GenerateStuckAtTests(lc, fault.StuckAtUniverse(lc), nil)
 			if err != nil {
 				die(err)
 			}
@@ -254,7 +262,7 @@ func main() {
 	}
 	if *gradeOBD {
 		faults, _ := fault.OBDUniverse(lc)
-		cov, err := atpg.GradeOBDParallel(lc, faults, pairs)
+		cov, err := sched.GradeOBD(lc, faults, pairs)
 		if err != nil {
 			die(err)
 		}

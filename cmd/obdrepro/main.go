@@ -1,6 +1,9 @@
 // Command obdrepro regenerates every data table and figure of the paper
 // and prints them in a paper-like text layout, together with the shape
 // checks EXPERIMENTS.md records. With no flags it runs everything.
+// Batch grading and generation run on a pool of GOMAXPROCS workers
+// (GOMAXPROCS=N sizes it); every experiment's output is the same for
+// any pool size.
 package main
 
 import (
@@ -342,10 +345,8 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment names and exit")
 		outDir   = flag.String("out", "", "also write CSV/VCD/SPICE artifacts for the data figures into this directory")
 		jsonMode = flag.Bool("json", false, "emit a JSON summary instead of the paper-style text")
-		workers  = flag.Int("workers", 0, "fault-simulation worker count (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	atpg.SetDefaultWorkers(*workers)
 	if *outDir != "" {
 		if err := writeArtifacts(*outDir, spice.Default350()); err != nil {
 			fmt.Fprintf(os.Stderr, "obdrepro: artifacts: %v\n", err)

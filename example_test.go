@@ -14,7 +14,7 @@ import (
 func Example() {
 	c, _ := gobd.ParseNetlist("circuit g\ninput a b\noutput y\nnand g1 y a b\n")
 	faults, _ := gobd.OBDUniverse(c)
-	ts := must(gobd.GenerateOBDTests(c, faults, nil))
+	ts := must(gobd.NewScheduler(0).GenerateOBDTests(c, faults, nil))
 	var vecs []string
 	for _, tp := range ts.Tests {
 		vecs = append(vecs, tp.StringFor(c))

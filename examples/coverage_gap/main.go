@@ -26,6 +26,7 @@ nor  g6 z n1 n4
 `
 
 func main() {
+	sched := gobd.NewScheduler(0)
 	fa := gobd.FullAdderSumLogic()
 	slice, err := gobd.ParseNetlist(sliceNetlist)
 	if err != nil {
@@ -37,18 +38,18 @@ func main() {
 		if len(skipped) > 0 {
 			fmt.Printf("   (%d composite gates without OBD sites)\n", len(skipped))
 		}
-		ex, err := gobd.AnalyzeExhaustive(lc, obdFaults)
+		ex, err := sched.AnalyzeExhaustive(lc, obdFaults)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("   OBD universe: %d faults, %d testable\n", len(obdFaults), ex.TestableCount())
 
 		// Traditional transition-fault ATPG, graded against OBD.
-		tr, err := gobd.GenerateTransitionTests(lc, gobd.TransitionUniverse(lc), nil)
+		tr, err := sched.GenerateTransitionTests(lc, gobd.TransitionUniverse(lc), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cov, err := gobd.GradeOBDParallel(lc, obdFaults, tr.Tests)
+		cov, err := sched.GradeOBD(lc, obdFaults, tr.Tests)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func main() {
 			len(tr.Tests), tr.Coverage, cov)
 
 		// Stuck-at patterns chained into pairs, graded against OBD.
-		sa, err := gobd.GenerateStuckAtTests(lc, gobd.StuckAtUniverse(lc), nil)
+		sa, err := sched.GenerateStuckAtTests(lc, gobd.StuckAtUniverse(lc), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,14 +65,14 @@ func main() {
 		for i := 1; i < len(sa.Tests); i++ {
 			chained = append(chained, gobd.TwoPattern{V1: sa.Tests[i-1], V2: sa.Tests[i]})
 		}
-		saCov, err := gobd.GradeOBDParallel(lc, obdFaults, chained)
+		saCov, err := sched.GradeOBD(lc, obdFaults, chained)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("   stuck-at set (%d patterns chained): OBD coverage %s\n", len(sa.Tests), saCov)
 
 		// The OBD-aware generator.
-		ob, err := gobd.GenerateOBDTests(lc, obdFaults, nil)
+		ob, err := sched.GenerateOBDTests(lc, obdFaults, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

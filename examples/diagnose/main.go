@@ -19,7 +19,7 @@ import (
 func main() {
 	lc := gobd.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(lc)
-	ts, err := atpg.GenerateOBDTests(lc, faults, nil)
+	ts, err := atpg.NewScheduler(0).GenerateOBDTests(lc, faults, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 )
 
 func main() {
+	sched := gobd.NewScheduler(0)
 	lc := gobd.FullAdderSumLogic()
 	fmt.Printf("circuit %s: %d gates, depth %d\n", lc.Name, len(lc.Gates), lc.Depth())
 
@@ -20,7 +21,7 @@ func main() {
 	faults, _ := gobd.OBDUniverse(lc)
 	fmt.Printf("OBD fault universe: %d locations\n", len(faults))
 
-	ex, err := gobd.AnalyzeExhaustive(lc, faults)
+	ex, err := sched.AnalyzeExhaustive(lc, faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func main() {
 		fmt.Println("  " + tp.StringFor(lc))
 	}
 
-	ts, err := gobd.GenerateOBDTests(lc, faults, nil)
+	ts, err := sched.GenerateOBDTests(lc, faults, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

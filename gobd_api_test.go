@@ -13,6 +13,7 @@ import (
 // grade tests, derive excitation sets, wrap in a scan chain, run the
 // timing simulator, build a dictionary, and touch the analog layer.
 func TestPublicAPIEndToEnd(t *testing.T) {
+	sched := gobd.NewScheduler(0)
 	// Gate level.
 	c, err := gobd.ParseNetlist("circuit g\ninput a b\noutput y\nnand g1 y a b\n")
 	if err != nil {
@@ -22,11 +23,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(faults) != 4 {
 		t.Fatalf("universe %d", len(faults))
 	}
-	ts := must(gobd.GenerateOBDTests(c, faults, nil))
+	ts := must(sched.GenerateOBDTests(c, faults, nil))
 	if ts.Coverage.Ratio() != 1 {
 		t.Fatalf("coverage %v", ts.Coverage)
 	}
-	if cov, err := gobd.GradeOBDParallel(c, faults, ts.Tests); err != nil || cov.Detected != 4 {
+	if cov, err := sched.GradeOBD(c, faults, ts.Tests); err != nil || cov.Detected != 4 {
 		t.Fatalf("grade %v %v", cov, err)
 	}
 	cover, err := gobd.MinimalPairCover(c.Gates[0].Type, 2)
@@ -63,7 +64,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	accFaults, _ := gobd.OBDUniverse(acc.Core)
-	if res, err := gobd.GenerateLOCTests(acc, accFaults, nil); err != nil || res.Coverage.Total == 0 {
+	if res, err := gobd.GenerateScanTests(sched, acc, accFaults, gobd.LOCStyle, nil); err != nil || res.Coverage.Total == 0 {
 		t.Fatalf("LOC generation %+v %v", res, err)
 	}
 

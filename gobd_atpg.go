@@ -18,8 +18,8 @@ type (
 	ATPGOptions = atpg.Options
 	// Coverage summarizes a fault-grading run.
 	Coverage = atpg.Coverage
-	// Scheduler is the deterministic worker pool behind the batch graders
-	// and generators.
+	// Scheduler is the deterministic worker pool; batch generation,
+	// grading and analysis are its methods (GOMAXPROCS workers when nil).
 	Scheduler = atpg.Scheduler
 	// WorkerStats is one worker's share of a scheduler run.
 	WorkerStats = atpg.WorkerStats
@@ -28,28 +28,15 @@ type (
 	SATStats = atpg.SATStats
 )
 
-// Test generation and fault simulation.
+// Test generation and fault simulation; batch runs are Scheduler
+// methods, e.g. NewScheduler(0).GenerateOBDTests(c, faults, opt).
 var (
 	// GenerateOBDTest produces a two-pattern test for one OBD fault.
 	GenerateOBDTest = atpg.GenerateOBDTest
-	// GenerateOBDTests runs the OBD generator over a fault list.
-	GenerateOBDTests = atpg.GenerateOBDTests
-	// GenerateTransitionTests runs the classical transition generator.
-	GenerateTransitionTests = atpg.GenerateTransitionTests
-	// GenerateStuckAtTests runs the classical stuck-at generator.
-	GenerateStuckAtTests = atpg.GenerateStuckAtTests
 	// DetectsOBD fault-simulates one vector pair against one OBD fault.
 	DetectsOBD = atpg.DetectsOBD
-	// GradeOBDParallel is the bit-parallel multicore grader; its Coverage
-	// is bit-identical to the scalar reference engine for any worker count.
-	GradeOBDParallel = atpg.GradeOBDParallel
 	// NewScheduler builds a scheduler with an explicit worker count.
 	NewScheduler = atpg.NewScheduler
-	// SetDefaultWorkers resizes the pool behind the package-level
-	// graders and generators.
-	SetDefaultWorkers = atpg.SetDefaultWorkers
-	// AnalyzeExhaustive enumerates all input transitions of a circuit.
-	AnalyzeExhaustive = atpg.AnalyzeExhaustive
 )
 
 // Hardened scheduler layer: typed errors, panic confinement and
@@ -67,14 +54,4 @@ type (
 	ItemError = atpg.ItemError
 	// RunReport is the outcome of a hardened ForEachCtx run.
 	RunReport = atpg.RunReport
-)
-
-// Context-aware generator variants: same results as their plain
-// counterparts, plus prompt cancellation with a deterministic prefix.
-// The matching grading variants are Scheduler methods (GradeOBDCtx,
-// GradeTransitionCtx, GradeStuckAtCtx) — the serving layer's hot path.
-var (
-	GenerateOBDTestsCtx        = atpg.GenerateOBDTestsCtx
-	GenerateTransitionTestsCtx = atpg.GenerateTransitionTestsCtx
-	GenerateStuckAtTestsCtx    = atpg.GenerateStuckAtTestsCtx
 )

@@ -61,12 +61,9 @@ var (
 	// test of a single core OBD fault.
 	GenerateScanTest = seq.Generate
 	// GenerateScanTests runs a style's generator over a fault list across
-	// the scheduler pool (bit-identical for any worker count).
-	GenerateScanTests = seq.GenerateTests
-	// GenerateLOCTest is GenerateScanTest specialized to launch-on-capture.
-	GenerateLOCTest = seq.GenerateLOCTest
-	// GenerateLOCTests is GenerateScanTests specialized to launch-on-capture.
-	GenerateLOCTests = seq.GenerateLOCTests
+	// the given scheduler's pool (bit-identical for any worker count; nil
+	// runs a GOMAXPROCS-sized pool).
+	GenerateScanTests = seq.GenerateTestsOn
 	// Accumulator builds the n-bit accumulator testbed.
 	Accumulator = seq.Accumulator
 )

@@ -100,19 +100,20 @@ func TestOBDSingleNandAllFaults(t *testing.T) {
 }
 
 func TestOBDThroughLogic(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
 	if len(faults) != 16 {
 		t.Fatalf("%d faults, want 16", len(faults))
 	}
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(sched.GenerateOBDTests(c, faults, nil))
 	for _, r := range ts.Results {
 		if r.Status == Aborted {
 			t.Fatalf("%s aborted", r.Fault)
 		}
 	}
 	// Cross-check claimed coverage with exhaustive analysis.
-	ex := must(AnalyzeExhaustive(c, faults))
+	ex := must(sched.AnalyzeExhaustive(c, faults))
 	if ts.Coverage.Detected != ex.TestableCount() {
 		t.Fatalf("ATPG coverage %v but exhaustively testable %d", ts.Coverage, ex.TestableCount())
 	}
@@ -140,9 +141,10 @@ func TestTransitionSingleNand(t *testing.T) {
 // insensitive to which input causes the transition, while the OBD-aware
 // generator reaches every testable OBD fault.
 func TestCoverageGap(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, "circuit g\ninput a b\noutput y\nnand g1 y a b\n")
 	trFaults := fault.TransitionUniverse(c)
-	trSet := must(GenerateTransitionTests(c, trFaults, nil))
+	trSet := must(sched.GenerateTransitionTests(c, trFaults, nil))
 	if trSet.Coverage.Ratio() != 1 {
 		t.Fatalf("transition coverage %v, want 100%%", trSet.Coverage)
 	}
@@ -151,12 +153,12 @@ func TestCoverageGap(t *testing.T) {
 	if gap.Ratio() >= 1 {
 		t.Fatalf("expected a coverage gap, transition tests cover OBD %v", gap)
 	}
-	obdSet := must(GenerateOBDTests(c, obdFaults, nil))
+	obdSet := must(sched.GenerateOBDTests(c, obdFaults, nil))
 	if obdSet.Coverage.Ratio() != 1 {
 		t.Fatalf("OBD ATPG coverage %v, want 100%%", obdSet.Coverage)
 	}
 	// And the OBD set covers all transition faults too (it is stronger).
-	back := must(GradeTransition(c, trFaults, obdSet.Tests))
+	back := must(sched.GradeTransition(c, trFaults, obdSet.Tests))
 	if back.Ratio() != 1 {
 		t.Fatalf("OBD set should subsume transition faults here, got %v", back)
 	}
@@ -165,7 +167,7 @@ func TestCoverageGap(t *testing.T) {
 func TestExhaustiveGreedyCover(t *testing.T) {
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ex := must(AnalyzeExhaustive(c, faults))
+	ex := must(NewScheduler(0).AnalyzeExhaustive(c, faults))
 	cover := ex.GreedyCover()
 	if len(cover) == 0 {
 		t.Fatal("empty cover")
@@ -259,7 +261,7 @@ func TestQuickOBDMatchesExhaustive(t *testing.T) {
 		if len(faults) == 0 {
 			return true
 		}
-		ex := must(AnalyzeExhaustive(c, faults))
+		ex := must(NewScheduler(0).AnalyzeExhaustive(c, faults))
 		for k := 0; k < 4; k++ {
 			fi := rng.Intn(len(faults))
 			tp, st := GenerateOBDTest(c, faults[fi], nil)

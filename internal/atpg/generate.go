@@ -1,8 +1,6 @@
 package atpg
 
 import (
-	"context"
-
 	"gobd/internal/fault"
 	"gobd/internal/logic"
 	"gobd/internal/netcheck"
@@ -40,7 +38,7 @@ func generateStuckAtTestWith(c *logic.Circuit, f fault.StuckAt, opt *Options, pv
 	if st != Detected {
 		return nil, st
 	}
-	return p.Filled(c, opt.Fill), Detected
+	return p.Filled(c, logic.Zero), Detected
 }
 
 // GenerateTransitionTest produces a two-pattern test for a classical
@@ -79,7 +77,7 @@ func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Optio
 	if st1 != Detected {
 		return nil, st1
 	}
-	return &TwoPattern{V1: v1.Filled(c, opt.Fill), V2: v2.Filled(c, opt.Fill)}, Detected
+	return &TwoPattern{V1: v1.Filled(c, logic.Zero), V2: v2.Filled(c, logic.Zero)}, Detected
 }
 
 // GenerateOBDTest produces a two-pattern test for an OBD fault by
@@ -164,7 +162,7 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemV
 		if st1 != Detected {
 			continue
 		}
-		tp := &TwoPattern{V1: v1.Filled(c, opt.Fill), V2: v2.Filled(c, opt.Fill)}
+		tp := &TwoPattern{V1: v1.Filled(c, logic.Zero), V2: v2.Filled(c, logic.Zero)}
 		if NewPairGrader(c, []TwoPattern{*tp}).Detects(f) {
 			return tp, Detected
 		}
@@ -194,46 +192,9 @@ type TestSet struct {
 	Coverage Coverage
 }
 
-// GenerateOBDTests runs the OBD generator over a fault list with optional
-// fault dropping, speculating across the default scheduler's worker pool
-// (results are bit-identical to the sequential loop for any worker count).
-func GenerateOBDTests(c *logic.Circuit, faults []fault.OBD, opt *Options) (*TestSet, error) {
-	return DefaultScheduler().GenerateOBDTests(c, faults, opt)
-}
-
-// GenerateOBDTestsCtx is GenerateOBDTests with cooperative cancellation
-// through ctx (see Scheduler.GenerateOBDTestsCtx).
-func GenerateOBDTestsCtx(ctx context.Context, c *logic.Circuit, faults []fault.OBD, opt *Options) (*TestSet, error) {
-	return DefaultScheduler().GenerateOBDTestsCtx(ctx, c, faults, opt)
-}
-
-// GenerateTransitionTests runs the transition-fault generator over a fault
-// list with optional fault dropping across the default scheduler's pool.
-func GenerateTransitionTests(c *logic.Circuit, faults []fault.Transition, opt *Options) (*TestSet, error) {
-	return DefaultScheduler().GenerateTransitionTests(c, faults, opt)
-}
-
-// GenerateTransitionTestsCtx is GenerateTransitionTests with cooperative
-// cancellation through ctx.
-func GenerateTransitionTestsCtx(ctx context.Context, c *logic.Circuit, faults []fault.Transition, opt *Options) (*TestSet, error) {
-	return DefaultScheduler().GenerateTransitionTestsCtx(ctx, c, faults, opt)
-}
-
 // StuckAtTestSet is the single-pattern analogue of TestSet.
 type StuckAtTestSet struct {
 	Tests    []Pattern
 	Results  []Result
 	Coverage Coverage
-}
-
-// GenerateStuckAtTests runs the stuck-at generator over a fault list with
-// optional fault dropping across the default scheduler's pool.
-func GenerateStuckAtTests(c *logic.Circuit, faults []fault.StuckAt, opt *Options) (*StuckAtTestSet, error) {
-	return DefaultScheduler().GenerateStuckAtTests(c, faults, opt)
-}
-
-// GenerateStuckAtTestsCtx is GenerateStuckAtTests with cooperative
-// cancellation through ctx.
-func GenerateStuckAtTestsCtx(ctx context.Context, c *logic.Circuit, faults []fault.StuckAt, opt *Options) (*StuckAtTestSet, error) {
-	return DefaultScheduler().GenerateStuckAtTestsCtx(ctx, c, faults, opt)
 }

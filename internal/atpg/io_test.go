@@ -12,7 +12,7 @@ import (
 func TestTestSetRoundTrip(t *testing.T) {
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(NewScheduler(0).GenerateOBDTests(c, faults, nil))
 	var buf bytes.Buffer
 	if err := WriteTests(&buf, c, ts.Tests); err != nil {
 		t.Fatal(err)

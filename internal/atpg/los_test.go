@@ -31,14 +31,15 @@ func TestLOSWeakerThanEnhancedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(c)
-	los, err := seq.GenerateTests(chain, faults, seq.LOS, nil)
+	sched := atpg.NewScheduler(0)
+	los, err := seq.GenerateTestsOn(sched, chain, faults, seq.LOS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !los.Exact {
 		t.Fatal("search should be exhaustive at 2 inputs")
 	}
-	enh, err := atpg.GenerateOBDTests(c, faults, nil)
+	enh, err := sched.GenerateOBDTests(c, faults, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,3 @@ func ensembleName(fs []fault.OBD) string {
 	}
 	return name
 }
-
-// GradeOBDMulti fault-simulates a test set against a list of fault
-// ENSEMBLES (each a multi-defect scenario), sharding the ensemble list
-// across the default scheduler's pool.
-func GradeOBDMulti(c *logic.Circuit, ensembles [][]fault.OBD, tests []TwoPattern) (Coverage, error) {
-	return DefaultScheduler().GradeOBDMulti(c, ensembles, tests)
-}

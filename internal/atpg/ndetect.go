@@ -11,12 +11,13 @@ import (
 // pairs where the pair space allows. Higher n hardens the set against
 // timing marginality and sharpens diagnosis. The generator enumerates each
 // fault's detecting pairs from the exhaustive space (so it requires ≤16
-// primary inputs) and greedily reuses pairs across faults.
-func GenerateNDetectOBDTests(c *logic.Circuit, faults []fault.OBD, n int) (*TestSet, error) {
+// primary inputs) and greedily reuses pairs across faults. The
+// enumeration and the final grade run on the scheduler's pool.
+func (s *Scheduler) GenerateNDetectOBDTests(c *logic.Circuit, faults []fault.OBD, n int) (*TestSet, error) {
 	if n < 1 {
 		n = 1
 	}
-	ex, err := AnalyzeExhaustive(c, faults)
+	ex, err := s.AnalyzeExhaustive(c, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -67,16 +68,10 @@ func GenerateNDetectOBDTests(c *logic.Circuit, faults []fault.OBD, n int) (*Test
 		}
 		ts.Results = append(ts.Results, Result{Fault: f.String(), Status: st})
 	}
-	cov, err := GradeOBDParallel(c, faults, ts.Tests)
+	cov, err := s.GradeOBD(c, faults, ts.Tests)
 	if err != nil {
 		return nil, err
 	}
 	ts.Coverage = cov
 	return ts, nil
-}
-
-// DetectionCounts returns, per fault, how many pairs of the test set
-// detect it, sharding the fault list across the default scheduler's pool.
-func DetectionCounts(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) ([]int, error) {
-	return DefaultScheduler().DetectionCounts(c, faults, tests)
 }

@@ -10,9 +10,10 @@ import (
 )
 
 func TestNDetectCountsMeetTarget(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ex := must(AnalyzeExhaustive(c, faults))
+	ex := must(sched.AnalyzeExhaustive(c, faults))
 	maxDet := make([]int, len(faults))
 	for _, det := range ex.DetectedBy {
 		for _, fi := range det {
@@ -20,8 +21,8 @@ func TestNDetectCountsMeetTarget(t *testing.T) {
 		}
 	}
 	for _, n := range []int{1, 3, 5} {
-		ts := must(GenerateNDetectOBDTests(c, faults, n))
-		counts := must(DetectionCounts(c, faults, ts.Tests))
+		ts := must(sched.GenerateNDetectOBDTests(c, faults, n))
+		counts := must(sched.DetectionCounts(c, faults, ts.Tests))
 		for fi := range faults {
 			want := n
 			if maxDet[fi] < want {
@@ -36,17 +37,18 @@ func TestNDetectCountsMeetTarget(t *testing.T) {
 }
 
 func TestNDetectSetGrowsWithN(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
 	prev := 0
 	for _, n := range []int{1, 2, 4} {
-		ts := must(GenerateNDetectOBDTests(c, faults, n))
+		ts := must(sched.GenerateNDetectOBDTests(c, faults, n))
 		if len(ts.Tests) < prev {
 			t.Fatalf("n=%d produced fewer tests (%d) than smaller n (%d)", n, len(ts.Tests), prev)
 		}
 		prev = len(ts.Tests)
 		// Coverage must match exhaustive testability regardless of n.
-		ex := must(AnalyzeExhaustive(c, faults))
+		ex := must(sched.AnalyzeExhaustive(c, faults))
 		if ts.Coverage.Detected != ex.TestableCount() {
 			t.Fatalf("n=%d coverage %v vs testable %d", n, ts.Coverage, ex.TestableCount())
 		}
@@ -99,14 +101,15 @@ func TestMultiFaultMaskingExists(t *testing.T) {
 }
 
 func TestGradeOBDMulti(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(sched.GenerateOBDTests(c, faults, nil))
 	var ensembles [][]fault.OBD
 	for i := 0; i+1 < len(faults); i += 2 {
 		ensembles = append(ensembles, []fault.OBD{faults[i], faults[i+1]})
 	}
-	cov := must(GradeOBDMulti(c, ensembles, ts.Tests))
+	cov := must(sched.GradeOBDMulti(c, ensembles, ts.Tests))
 	if cov.Total != len(ensembles) {
 		t.Fatalf("total %d", cov.Total)
 	}

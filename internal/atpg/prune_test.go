@@ -28,6 +28,7 @@ func exactUntestable(c *logic.Circuit, faults []fault.OBD) []bool {
 // faults it settles without a PODEM verdict of their own are exactly
 // the exact prover's untestable set.
 func TestPruneAgreesWithSearch(t *testing.T) {
+	sched := NewScheduler(0)
 	c432, err := logic.ParseFile("../../testdata/c432.bench")
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +51,9 @@ func TestPruneAgreesWithSearch(t *testing.T) {
 		if k.bt > 0 {
 			opt.MaxBacktracks = k.bt
 		}
-		plain := must(GenerateOBDTests(c, faults, opt))
+		plain := must(sched.GenerateOBDTests(c, faults, opt))
 		opt.Prune = true
-		pruned := must(GenerateOBDTests(c, faults, opt))
+		pruned := must(sched.GenerateOBDTests(c, faults, opt))
 
 		if len(plain.Results) != len(pruned.Results) {
 			t.Fatalf("%s: result lengths differ: %d vs %d", c.Name, len(plain.Results), len(pruned.Results))
@@ -150,7 +151,7 @@ func benchGenerate(b *testing.B, c *logic.Circuit, prune bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must(GenerateOBDTests(c, faults, opt))
+		must(NewScheduler(0).GenerateOBDTests(c, faults, opt))
 	}
 	b.StopTimer()
 	if prune {

@@ -10,11 +10,12 @@ import (
 )
 
 func TestGradeOBDParallelMatchesOnFullAdderTests(t *testing.T) {
+	sched := NewScheduler(0)
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(sched.GenerateOBDTests(c, faults, nil))
 	seq := GradeOBD(c, faults, ts.Tests)
-	par := must(GradeOBDParallel(c, faults, ts.Tests))
+	par := must(sched.GradeOBD(c, faults, ts.Tests))
 	if seq.Detected != par.Detected || seq.Total != par.Total {
 		t.Fatalf("parallel %v != sequential %v", par, seq)
 	}
@@ -75,7 +76,7 @@ func BenchmarkGradeOBDSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(NewScheduler(0).GenerateOBDTests(c, faults, nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GradeOBD(c, faults, ts.Tests)
@@ -83,14 +84,15 @@ func BenchmarkGradeOBDSequential(b *testing.B) {
 }
 
 func BenchmarkGradeOBDParallel(b *testing.B) {
+	sched := NewScheduler(0)
 	c, err := logic.ParseString(xorNandSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(sched.GenerateOBDTests(c, faults, nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must(GradeOBDParallel(c, faults, ts.Tests))
+		must(sched.GradeOBD(c, faults, ts.Tests))
 	}
 }

@@ -54,14 +54,15 @@ func (ws WorkerStats) String() string {
 }
 
 // Scheduler is a deterministic multicore fault-simulation and ATPG
-// driver. The zero value is ready to use and sizes the pool to
-// runtime.GOMAXPROCS(0). A Scheduler may be reused across calls; the
-// methods themselves must not be invoked concurrently with each other
-// when CollectStats is set (the counters are merged under a mutex, but
-// interleaved runs would blur attribution).
+// driver, and the one way to run batch grading and generation. The zero
+// value is ready to use and sizes the pool to runtime.GOMAXPROCS(0); a
+// nil *Scheduler works like the zero value (it collects no stats). A
+// Scheduler may be reused across calls; the methods themselves must not
+// be invoked concurrently with each other when CollectStats is set (the
+// counters are merged under a mutex, but interleaved runs would blur
+// attribution).
 type Scheduler struct {
 	Workers      int  // pool size; <=0 means runtime.GOMAXPROCS(0)
-	ChunkSize    int  // faults per work unit; <=0 picks a per-call grain
 	CollectStats bool // accumulate per-worker counters (see Stats)
 
 	mu    sync.Mutex
@@ -71,34 +72,6 @@ type Scheduler struct {
 // NewScheduler returns a scheduler with the given worker count
 // (0 = all cores).
 func NewScheduler(workers int) *Scheduler { return &Scheduler{Workers: workers} }
-
-var (
-	defaultMu    sync.Mutex
-	defaultSched = &Scheduler{}
-)
-
-// DefaultScheduler returns the process-wide scheduler used by the
-// package-level grading and generation functions.
-func DefaultScheduler() *Scheduler {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return defaultSched
-}
-
-// SetDefaultScheduler replaces the process-wide scheduler (nil restores a
-// GOMAXPROCS-sized default). Call it before starting work, not during.
-func SetDefaultScheduler(s *Scheduler) {
-	if s == nil {
-		s = &Scheduler{}
-	}
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	defaultSched = s
-}
-
-// SetDefaultWorkers resizes the process-wide scheduler's pool
-// (0 restores GOMAXPROCS sizing).
-func SetDefaultWorkers(n int) { SetDefaultScheduler(&Scheduler{Workers: n}) }
 
 // WorkerCount returns the effective pool size.
 func (s *Scheduler) WorkerCount() int {
@@ -167,7 +140,7 @@ func (s *Scheduler) run(n, grain int, fn func(lo, hi int, ws *WorkerStats)) {
 // chunks once ctx is done (a chunk in flight still completes, so every
 // slot is either fully written or untouched). It returns ctx's error when
 // the run was cut short, else nil.
-func (s *Scheduler) runCtx(ctx context.Context, n, grain int, fn func(lo, hi int, ws *WorkerStats)) error {
+func (s *Scheduler) runCtx(ctx context.Context, n, chunk int, fn func(lo, hi int, ws *WorkerStats)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -175,10 +148,6 @@ func (s *Scheduler) runCtx(ctx context.Context, n, grain int, fn func(lo, hi int
 	w := s.WorkerCount()
 	if w > n {
 		w = n
-	}
-	chunk := grain
-	if s != nil && s.ChunkSize > 0 {
-		chunk = s.ChunkSize
 	}
 	if chunk < 1 {
 		chunk = 1
@@ -448,10 +417,11 @@ func (s *Scheduler) DetectionCounts(c *logic.Circuit, faults []fault.OBD, tests 
 // AnalyzeExhaustive.
 const exhaustiveInputLimit = 16
 
-// AnalyzeExhaustive runs the full-enumeration analysis sharded over the
-// first-frame vectors; the merged Pairs/DetectedBy keep the sequential
-// (m1, m2) enumeration order. Circuits with more than 16 primary inputs
-// are rejected with a typed *InputLimitError.
+// AnalyzeExhaustive runs the full-enumeration analysis used for the
+// Section 4.3 full-adder counts, sharded over the first-frame vectors;
+// the merged Pairs/DetectedBy keep the sequential (m1, m2) enumeration
+// order. Circuits with more than 16 primary inputs are rejected with a
+// typed *InputLimitError.
 func (s *Scheduler) AnalyzeExhaustive(c *logic.Circuit, faults []fault.OBD) (*ExhaustiveOBDAnalysis, error) {
 	if len(c.Inputs) > exhaustiveInputLimit {
 		return nil, &InputLimitError{Inputs: len(c.Inputs), Limit: exhaustiveInputLimit}

@@ -171,30 +171,31 @@ func TestGenerateOBDTestsCtxDeadline(t *testing.T) {
 // TestBatchEntryPointsRejectInvalidCircuit: the former mustValid panic is
 // now a typed *InvalidCircuitError from every batch entry point.
 func TestBatchEntryPointsRejectInvalidCircuit(t *testing.T) {
+	sched := NewScheduler(0)
 	bad := &logic.Circuit{Name: "dangling"}
 	bad.Inputs = []string{"a"}
 	bad.Outputs = []string{"nosuch"}
 
 	var ice *InvalidCircuitError
-	if _, err := GradeOBDParallel(bad, nil, nil); !errors.As(err, &ice) {
-		t.Fatalf("GradeOBDParallel: %v is not *InvalidCircuitError", err)
+	if _, err := sched.GradeOBD(bad, nil, nil); !errors.As(err, &ice) {
+		t.Fatalf("GradeOBD: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := GradeTransition(bad, nil, nil); !errors.As(err, &ice) {
+	if _, err := sched.GradeTransition(bad, nil, nil); !errors.As(err, &ice) {
 		t.Fatalf("GradeTransition: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := GradeStuckAt(bad, nil, nil); !errors.As(err, &ice) {
+	if _, err := sched.GradeStuckAt(bad, nil, nil); !errors.As(err, &ice) {
 		t.Fatalf("GradeStuckAt: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := GradeOBDMulti(bad, nil, nil); !errors.As(err, &ice) {
+	if _, err := sched.GradeOBDMulti(bad, nil, nil); !errors.As(err, &ice) {
 		t.Fatalf("GradeOBDMulti: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := AnalyzeExhaustive(bad, nil); !errors.As(err, &ice) {
+	if _, err := sched.AnalyzeExhaustive(bad, nil); !errors.As(err, &ice) {
 		t.Fatalf("AnalyzeExhaustive: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := GenerateOBDTests(bad, nil, nil); !errors.As(err, &ice) {
+	if _, err := sched.GenerateOBDTests(bad, nil, nil); !errors.As(err, &ice) {
 		t.Fatalf("GenerateOBDTests: %v is not *InvalidCircuitError", err)
 	}
-	if _, err := DetectionCounts(bad, nil, nil); !errors.As(err, &ice) {
+	if _, err := sched.DetectionCounts(bad, nil, nil); !errors.As(err, &ice) {
 		t.Fatalf("DetectionCounts: %v is not *InvalidCircuitError", err)
 	}
 	if ice.Unwrap() == nil {
@@ -207,7 +208,7 @@ func TestBatchEntryPointsRejectInvalidCircuit(t *testing.T) {
 func TestAnalyzeExhaustiveInputLimit(t *testing.T) {
 	c := logic.RippleCarryAdder(9) // 2*9+1 = 19 primary inputs
 	faults, _ := fault.OBDUniverse(c)
-	_, err := AnalyzeExhaustive(c, faults)
+	_, err := NewScheduler(0).AnalyzeExhaustive(c, faults)
 	var ile *InputLimitError
 	if !errors.As(err, &ile) {
 		t.Fatalf("err %v is not *InputLimitError", err)
@@ -246,7 +247,7 @@ func TestGradeCtxMatchesPlain(t *testing.T) {
 	obdFaults, _ := fault.OBDUniverse(c)
 	trFaults := fault.TransitionUniverse(c)
 	saFaults := fault.StuckAtUniverse(c)
-	ts, err := GenerateOBDTests(c, obdFaults, nil)
+	ts, err := NewScheduler(0).GenerateOBDTests(c, obdFaults, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestGradeCtxMatchesPlain(t *testing.T) {
 func TestGradeCtxCancelled(t *testing.T) {
 	c := cells.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(c)
-	ts, err := GenerateOBDTests(c, faults, nil)
+	ts, err := NewScheduler(0).GenerateOBDTests(c, faults, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

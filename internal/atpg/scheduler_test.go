@@ -1,10 +1,14 @@
 package atpg
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"gobd/internal/cells"
 	"gobd/internal/fault"
 	"gobd/internal/logic"
 )
@@ -51,9 +55,22 @@ func randomFaultSubset(rng *rand.Rand, faults []fault.OBD) []fault.OBD {
 }
 
 // TestWorkerSweepGradeOBD: for ≥20 random circuits × random fault lists ×
-// random (partially-X) test sets, every worker count yields a Coverage
-// DeepEqual to the scalar reference — Undetected ordering included.
+// random (partially-X) test sets, plus the full adder's whole 78-fault
+// universe, every worker count yields a Coverage DeepEqual to the scalar
+// reference — Undetected ordering included. On the full adder two
+// workers pull uneven gradeGrain(78, 2) = 4-fault chunks, the last one a
+// 2-fault tail.
 func TestWorkerSweepGradeOBD(t *testing.T) {
+	check := func(name string, c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) {
+		t.Helper()
+		want := GradeOBD(c, faults, tests)
+		for _, w := range sweepWorkers {
+			got := must(NewScheduler(w).GradeOBD(c, faults, tests))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers %d: %+v != scalar %+v", name, w, got, want)
+			}
+		}
+	}
 	circuits := 0
 	for seed := int64(0); circuits < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,20 +82,14 @@ func TestWorkerSweepGradeOBD(t *testing.T) {
 		circuits++
 		faults := randomFaultSubset(rng, universe)
 		tests := randomTests(rng, c, 1+rng.Intn(150))
-		want := GradeOBD(c, faults, tests)
-		for _, w := range sweepWorkers {
-			got := must(NewScheduler(w).GradeOBD(c, faults, tests))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d workers %d: %+v != scalar %+v", seed, w, got, want)
-			}
-		}
-		// An adversarial chunk size must not change the result either.
-		s := NewScheduler(3)
-		s.ChunkSize = 2
-		if got := must(s.GradeOBD(c, faults, tests)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d chunked: %+v != scalar %+v", seed, got, want)
-		}
+		check(fmt.Sprintf("seed %d", seed), c, faults, tests)
 	}
+	fa := cells.FullAdderSumLogic()
+	universe, _ := fault.OBDUniverse(fa)
+	if g := gradeGrain(len(universe), 2); len(universe) != 78 || g != 4 {
+		t.Fatalf("full adder: %d faults at grain %d, want 78 at 4", len(universe), g)
+	}
+	check("fulladder", fa, universe, randomTests(rand.New(rand.NewSource(1)), fa, 40))
 }
 
 // TestWorkerSweepGradeTransition checks the transition grader against an
@@ -213,7 +224,7 @@ func TestWorkerSweepDetectionCounts(t *testing.T) {
 func TestSchedulerStats(t *testing.T) {
 	c := mustCircuit(t, xorNandSrc)
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(GenerateOBDTests(c, faults, nil))
+	ts := must(NewScheduler(0).GenerateOBDTests(c, faults, nil))
 	s := NewScheduler(4)
 	s.CollectStats = true
 	s.GradeOBD(c, faults, ts.Tests)
@@ -245,6 +256,73 @@ func TestSchedulerForEachCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers %d: index %d visited %d times", w, i, h)
 			}
 		}
+	}
+}
+
+// TestNilSchedulerIsGOMAXPROCSPool pins the contract callers without a
+// configured pool rely on: a nil *Scheduler runs a GOMAXPROCS-sized pool,
+// returns results DeepEqual to a one-worker scheduler's for every batch
+// method, and collects no stats.
+func TestNilSchedulerIsGOMAXPROCSPool(t *testing.T) {
+	var none *Scheduler
+	if got, want := none.WorkerCount(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("nil scheduler sizes its pool to %d, want GOMAXPROCS = %d", got, want)
+	}
+	c := logic.C17()
+	obd, _ := fault.OBDUniverse(c)
+	tr := fault.TransitionUniverse(c)
+	sa := fault.StuckAtUniverse(c)
+	ts := must(NewScheduler(1).GenerateOBDTests(c, obd, nil))
+	var pats []Pattern
+	for _, tp := range ts.Tests {
+		pats = append(pats, tp.V1, tp.V2)
+	}
+	var ensembles [][]fault.OBD
+	for i := 0; i+1 < len(obd); i += 3 {
+		ensembles = append(ensembles, obd[i:i+2])
+	}
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		run  func(s *Scheduler) (any, error)
+	}{
+		{"GenerateOBDTests", func(s *Scheduler) (any, error) { return s.GenerateOBDTests(c, obd, nil) }},
+		{"GenerateTransitionTestsCtx", func(s *Scheduler) (any, error) { return s.GenerateTransitionTestsCtx(ctx, c, tr, nil) }},
+		{"GenerateStuckAtTests", func(s *Scheduler) (any, error) { return s.GenerateStuckAtTests(c, sa, nil) }},
+		{"GradeOBD", func(s *Scheduler) (any, error) { return s.GradeOBD(c, obd, ts.Tests) }},
+		{"GradeTransition", func(s *Scheduler) (any, error) { return s.GradeTransition(c, tr, ts.Tests) }},
+		{"GradeStuckAt", func(s *Scheduler) (any, error) { return s.GradeStuckAt(c, sa, pats) }},
+		{"GradeOBDMulti", func(s *Scheduler) (any, error) { return s.GradeOBDMulti(c, ensembles, ts.Tests) }},
+		{"DetectionCounts", func(s *Scheduler) (any, error) { return s.DetectionCounts(c, obd, ts.Tests) }},
+		{"AnalyzeExhaustive", func(s *Scheduler) (any, error) { return s.AnalyzeExhaustive(c, obd) }},
+		{"GenerateNDetectOBDTests", func(s *Scheduler) (any, error) { return s.GenerateNDetectOBDTests(c, obd, 2) }},
+		{"ForEachCtx", func(s *Scheduler) (any, error) {
+			out := make([]int, 100)
+			rep := s.ForEachCtx(ctx, len(out), func(i int) error {
+				out[i] = i * i
+				if i%7 == 3 {
+					return fmt.Errorf("item %d", i)
+				}
+				return nil
+			})
+			return []any{out, rep}, nil
+		}},
+	}
+	for _, tc := range cases {
+		want, err := tc.run(NewScheduler(1))
+		if err != nil {
+			t.Fatalf("%s on one worker: %v", tc.name, err)
+		}
+		got, err := tc.run(none)
+		if err != nil {
+			t.Fatalf("%s on a nil scheduler: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: nil scheduler gave %+v, one worker %+v", tc.name, got, want)
+		}
+	}
+	if st := none.Stats(); st != nil {
+		t.Fatalf("nil scheduler reports stats %v", st)
 	}
 }
 

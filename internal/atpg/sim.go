@@ -49,8 +49,8 @@ func DetectsStuckAt(c *logic.Circuit, f fault.StuckAt, p Pattern) bool {
 
 // GradeOBD fault-simulates a test set against an OBD fault list with the
 // scalar reference simulator, one fault and one pair at a time. It is the
-// semantic baseline the bit-parallel multicore path (Scheduler.GradeOBD /
-// GradeOBDParallel) is property-tested against.
+// semantic baseline the bit-parallel multicore Scheduler.GradeOBD is
+// property-tested against.
 func GradeOBD(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) Coverage {
 	cov := Coverage{Total: len(faults)}
 	for _, f := range faults {
@@ -70,19 +70,6 @@ func GradeOBD(c *logic.Circuit, faults []fault.OBD, tests []TwoPattern) Coverage
 	return cov
 }
 
-// GradeTransition fault-simulates a test set against transition faults,
-// sharding the fault list across the default scheduler's worker pool
-// (results are identical to the sequential scan for any worker count).
-func GradeTransition(c *logic.Circuit, faults []fault.Transition, tests []TwoPattern) (Coverage, error) {
-	return DefaultScheduler().GradeTransition(c, faults, tests)
-}
-
-// GradeStuckAt fault-simulates single patterns against stuck-at faults,
-// sharding the fault list across the default scheduler's worker pool.
-func GradeStuckAt(c *logic.Circuit, faults []fault.StuckAt, tests []Pattern) (Coverage, error) {
-	return DefaultScheduler().GradeStuckAt(c, faults, tests)
-}
-
 // ExhaustiveOBDAnalysis enumerates every ordered pair of distinct complete
 // input vectors (the paper's "input transitions") and records which OBD
 // faults each pair detects. It requires ≤16 primary inputs.
@@ -92,15 +79,6 @@ type ExhaustiveOBDAnalysis struct {
 	Pairs      []TwoPattern
 	DetectedBy [][]int // DetectedBy[p] = indices of faults detected by pair p
 	Testable   []bool  // Testable[f] = some pair detects fault f
-}
-
-// AnalyzeExhaustive runs the full-enumeration analysis used for the
-// Section 4.3 full-adder counts, sharded over the default scheduler's
-// worker pool (the enumeration order of Pairs/DetectedBy is preserved).
-// A circuit with more than 16 primary inputs is rejected with a typed
-// *InputLimitError instead of the panic earlier revisions threw.
-func AnalyzeExhaustive(c *logic.Circuit, faults []fault.OBD) (*ExhaustiveOBDAnalysis, error) {
-	return DefaultScheduler().AnalyzeExhaustive(c, faults)
 }
 
 // TestableCount returns the number of faults detectable by at least one

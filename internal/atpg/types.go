@@ -92,9 +92,8 @@ func (s Status) String() string {
 
 // Options tunes the generators.
 type Options struct {
-	MaxBacktracks int         // per-fault PODEM backtrack limit
-	FaultDropping bool        // simulate each new test against remaining faults
-	Fill          logic.Value // value used to complete don't-care inputs
+	MaxBacktracks int  // per-fault PODEM backtrack limit
+	FaultDropping bool // simulate each new test against remaining faults
 
 	// DisableSCOAP turns off the SCOAP testability guidance of the PODEM
 	// backtrace and D-frontier selection. Guidance only affects search
@@ -127,7 +126,7 @@ type Options struct {
 
 // DefaultOptions returns the settings used by the experiments.
 func DefaultOptions() *Options {
-	return &Options{MaxBacktracks: 20000, FaultDropping: true, Fill: logic.Zero}
+	return &Options{MaxBacktracks: 20000, FaultDropping: true}
 }
 
 // Coverage summarizes a grading run.

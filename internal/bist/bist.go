@@ -169,7 +169,11 @@ type Session struct {
 // NewSession prepares a BIST session of n clocks. The LFSR is sized to
 // roughly twice the input count (phase-spread across the register) and
 // the MISR to at least 12 bits so signature aliasing stays below 0.1%.
+// A negative n is an error.
 func NewSession(c *logic.Circuit, seed uint64, n int) (*Session, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("bist: stream length %d is negative", n)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -261,9 +265,9 @@ func (s *Session) RunFault(f fault.OBD, golden uint64) (FaultResult, error) {
 }
 
 // RunFaults simulates the stream against every fault in the list, sharding
-// the faults across the scheduler's worker pool (nil means the package
-// default). Results come back in fault-list order regardless of worker
-// count; the first error in that order, if any, is returned.
+// the faults across the scheduler's pool (nil: GOMAXPROCS workers). Results
+// come back in fault-list order regardless of worker count; the first error
+// in that order, if any, is returned.
 func (s *Session) RunFaults(faults []fault.OBD, golden uint64, sched *atpg.Scheduler) ([]FaultResult, error) {
 	out, rep := s.RunFaultsCtx(context.Background(), faults, golden, sched)
 	if err := rep.AsError(); err != nil {
@@ -277,9 +281,6 @@ func (s *Session) RunFaults(faults []fault.OBD, golden uint64, sched *atpg.Sched
 // prefix), a panicking fault simulation is confined to a per-item error,
 // and the RunReport carries per-fault attribution.
 func (s *Session) RunFaultsCtx(ctx context.Context, faults []fault.OBD, golden uint64, sched *atpg.Scheduler) ([]FaultResult, *atpg.RunReport) {
-	if sched == nil {
-		sched = atpg.DefaultScheduler()
-	}
 	out := make([]FaultResult, len(faults))
 	rep := sched.ForEachCtx(ctx, len(faults), func(i int) error {
 		var err error

@@ -2,6 +2,7 @@ package bist
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,51 @@ func TestSessionGoldenStable(t *testing.T) {
 	}
 	if len(s1.Pairs()) != 63 {
 		t.Fatalf("pairs %d", len(s1.Pairs()))
+	}
+}
+
+// TestNewSessionRejectsNegativeLength: a negative stream length is an
+// error, not a makeslice panic; lengths 0 and 1 build sessions with no
+// launch pair.
+func TestNewSessionRejectsNegativeLength(t *testing.T) {
+	c := cells.FullAdderSumLogic()
+	if s, err := NewSession(c, 1, -4); err == nil || s != nil {
+		t.Fatalf("NewSession(-4) = %v, %v; want an error", s, err)
+	}
+	for _, n := range []int{0, 1} {
+		s, err := NewSession(c, 1, n)
+		if err != nil {
+			t.Fatalf("NewSession(%d): %v", n, err)
+		}
+		if len(s.Pats) != n || len(s.Pairs()) != 0 {
+			t.Fatalf("NewSession(%d): %d patterns, %d pairs", n, len(s.Pats), len(s.Pairs()))
+		}
+	}
+}
+
+// TestRunFaultsNilScheduler: a nil scheduler runs the GOMAXPROCS pool and
+// returns the results a one-worker scheduler does.
+func TestRunFaultsNilScheduler(t *testing.T) {
+	c := cells.FullAdderSumLogic()
+	faults, _ := fault.OBDUniverse(c)
+	s, err := NewSession(c, 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := s.GoldenSignature()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.RunFaults(faults, golden, atpg.NewScheduler(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunFaults(faults, golden, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil scheduler results diverge from one worker's:\n got %+v\nwant %+v", got, want)
 	}
 }
 

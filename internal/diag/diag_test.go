@@ -15,7 +15,7 @@ func buildFullAdderDict(t *testing.T) *Dictionary {
 	t.Helper()
 	c := cells.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(c)
-	ts := must(atpg.GenerateOBDTests(c, faults, nil))
+	ts := must(atpg.NewScheduler(0).GenerateOBDTests(c, faults, nil))
 	return Build(c, faults, ts.Tests)
 }
 

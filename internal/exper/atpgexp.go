@@ -139,6 +139,7 @@ type FullAdderCounts struct {
 
 // RunFullAdderCounts performs the exhaustive analysis and the ATPG run.
 func RunFullAdderCounts() (*FullAdderCounts, error) {
+	sched := atpg.NewScheduler(0)
 	lc := cells.FullAdderSumLogic()
 	faults, skipped := fault.OBDUniverse(lc)
 	if len(skipped) != 0 {
@@ -153,7 +154,7 @@ func RunFullAdderCounts() (*FullAdderCounts, error) {
 		}
 	}
 	out.CollapsedTotal = len(fault.CollapseOBD(faults))
-	ex, err := atpg.AnalyzeExhaustive(lc, faults)
+	ex, err := sched.AnalyzeExhaustive(lc, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func RunFullAdderCounts() (*FullAdderCounts, error) {
 	}
 	out.Cover = ex.GreedyCover()
 	out.CoverSize = len(out.Cover)
-	ts, err := atpg.GenerateOBDTests(lc, faults, nil)
+	ts, err := sched.GenerateOBDTests(lc, faults, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -251,26 +252,27 @@ type CoverageGap struct {
 
 // RunCoverageGap runs the comparison for one gate-level circuit.
 func RunCoverageGap(name string, lc *logic.Circuit) (*CoverageGap, error) {
+	sched := atpg.NewScheduler(0)
 	obdFaults, _ := fault.OBDUniverse(lc)
-	ex, err := atpg.AnalyzeExhaustive(lc, obdFaults)
+	ex, err := sched.AnalyzeExhaustive(lc, obdFaults)
 	if err != nil {
 		return nil, err
 	}
 	out := &CoverageGap{Name: name, OBDUniverse: len(obdFaults), OBDTestable: ex.TestableCount()}
 
-	trSet, err := atpg.GenerateTransitionTests(lc, fault.TransitionUniverse(lc), nil)
+	trSet, err := sched.GenerateTransitionTests(lc, fault.TransitionUniverse(lc), nil)
 	if err != nil {
 		return nil, err
 	}
 	out.TransitionTests = len(trSet.Tests)
-	if out.TransitionCov, err = atpg.GradeOBDParallel(lc, obdFaults, trSet.Tests); err != nil {
+	if out.TransitionCov, err = sched.GradeOBD(lc, obdFaults, trSet.Tests); err != nil {
 		return nil, err
 	}
 
 	// A stuck-at test set has no transition structure at all; pair each
 	// pattern with its predecessor to form vectors the way a scan chain
 	// would stream them.
-	saSet, err := atpg.GenerateStuckAtTests(lc, fault.StuckAtUniverse(lc), nil)
+	saSet, err := sched.GenerateStuckAtTests(lc, fault.StuckAtUniverse(lc), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,11 +280,11 @@ func RunCoverageGap(name string, lc *logic.Circuit) (*CoverageGap, error) {
 	for i := 1; i < len(saSet.Tests); i++ {
 		saPairs = append(saPairs, atpg.TwoPattern{V1: saSet.Tests[i-1], V2: saSet.Tests[i]})
 	}
-	if out.StuckAtCov, err = atpg.GradeOBDParallel(lc, obdFaults, saPairs); err != nil {
+	if out.StuckAtCov, err = sched.GradeOBD(lc, obdFaults, saPairs); err != nil {
 		return nil, err
 	}
 
-	obdSet, err := atpg.GenerateOBDTests(lc, obdFaults, nil)
+	obdSet, err := sched.GenerateOBDTests(lc, obdFaults, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -34,6 +34,7 @@ type BIST struct {
 
 // RunBIST runs LFSR streams of increasing length on the benchmark suite.
 func RunBIST() (*BIST, error) {
+	sched := atpg.NewScheduler(0)
 	out := &BIST{}
 	for _, lc := range []*logic.Circuit{
 		cells.FullAdderSumLogic(),
@@ -41,11 +42,11 @@ func RunBIST() (*BIST, error) {
 		logic.Mux41(),
 	} {
 		faults, _ := fault.OBDUniverse(lc)
-		ex, err := atpg.AnalyzeExhaustive(lc, faults)
+		ex, err := sched.AnalyzeExhaustive(lc, faults)
 		if err != nil {
 			return nil, err
 		}
-		det, err := atpg.GenerateOBDTests(lc, faults, nil)
+		det, err := sched.GenerateOBDTests(lc, faults, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -101,7 +101,7 @@ func RunConcurrentSim(p *spice.Process) (*ConcurrentSim, error) {
 
 	// The BIST test set and its designed capture time.
 	faults, _ := fault.OBDUniverse(lc)
-	ts, err := atpg.GenerateOBDTests(lc, faults, nil)
+	ts, err := atpg.NewScheduler(0).GenerateOBDTests(lc, faults, nil)
 	if err != nil {
 		return nil, err
 	}

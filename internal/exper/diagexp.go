@@ -38,6 +38,7 @@ type Diagnosis struct {
 
 // RunDiagnosis builds dictionaries for the benchmark circuits.
 func RunDiagnosis() (*Diagnosis, error) {
+	sched := atpg.NewScheduler(0)
 	out := &Diagnosis{}
 	for _, lc := range []*logic.Circuit{
 		cells.FullAdderSumLogic(),
@@ -45,7 +46,7 @@ func RunDiagnosis() (*Diagnosis, error) {
 		logic.Mux41(),
 	} {
 		faults, _ := fault.OBDUniverse(lc)
-		ts, err := atpg.GenerateOBDTests(lc, faults, nil)
+		ts, err := sched.GenerateOBDTests(lc, faults, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,7 @@ func RunDiagnosis() (*Diagnosis, error) {
 			}
 		}
 		// Diagnosis-oriented set: every ordered input transition.
-		ex, err := atpg.AnalyzeExhaustive(lc, faults)
+		ex, err := sched.AnalyzeExhaustive(lc, faults)
 		if err != nil {
 			return nil, err
 		}

@@ -31,6 +31,7 @@ type ATPGGuidance struct {
 // RunATPGGuidance runs OBD ATPG with and without SCOAP over the suite plus
 // a larger adder.
 func RunATPGGuidance() (*ATPGGuidance, error) {
+	sched := atpg.NewScheduler(0)
 	out := &ATPGGuidance{}
 	for _, lc := range []*logic.Circuit{
 		cells.FullAdderSumLogic(),
@@ -43,7 +44,7 @@ func RunATPGGuidance() (*ATPGGuidance, error) {
 
 		optG := atpg.DefaultOptions()
 		optG.BacktrackSink = &row.GuidedBT
-		tsG, err := atpg.GenerateOBDTests(lc, faults, optG)
+		tsG, err := sched.GenerateOBDTests(lc, faults, optG)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +53,7 @@ func RunATPGGuidance() (*ATPGGuidance, error) {
 		optU := atpg.DefaultOptions()
 		optU.DisableSCOAP = true
 		optU.BacktrackSink = &row.UnguidedBT
-		tsU, err := atpg.GenerateOBDTests(lc, faults, optU)
+		tsU, err := sched.GenerateOBDTests(lc, faults, optU)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ type DetectProfile struct {
 func RunDetectProfile() (*DetectProfile, error) {
 	lc := cells.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(lc)
-	ex, err := atpg.AnalyzeExhaustive(lc, faults)
+	ex, err := atpg.NewScheduler(0).AnalyzeExhaustive(lc, faults)
 	if err != nil {
 		return nil, err
 	}

@@ -32,10 +32,11 @@ type NDetect struct {
 
 // RunNDetect runs n ∈ {1, 3, 5} on the full adder.
 func RunNDetect() (*NDetect, error) {
+	sched := atpg.NewScheduler(0)
 	lc := cells.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(lc)
 	// Two-defect ensembles over the testable faults.
-	ex, err := atpg.AnalyzeExhaustive(lc, faults)
+	ex, err := sched.AnalyzeExhaustive(lc, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +54,12 @@ func RunNDetect() (*NDetect, error) {
 	}
 	out := &NDetect{}
 	for _, n := range []int{1, 3, 5} {
-		ts, err := atpg.GenerateNDetectOBDTests(lc, faults, n)
+		ts, err := sched.GenerateNDetectOBDTests(lc, faults, n)
 		if err != nil {
 			return nil, err
 		}
 		row := NDetectRow{N: n, Tests: len(ts.Tests), Coverage: ts.Coverage}
-		counts, err := atpg.DetectionCounts(lc, faults, ts.Tests)
+		counts, err := sched.DetectionCounts(lc, faults, ts.Tests)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +71,7 @@ func RunNDetect() (*NDetect, error) {
 		}
 		d := diag.Build(lc, faults, ts.Tests)
 		row.Unique = d.UniquelyDiagnosable()
-		if row.DoubleCov, err = atpg.GradeOBDMulti(lc, ensembles, ts.Tests); err != nil {
+		if row.DoubleCov, err = sched.GradeOBDMulti(lc, ensembles, ts.Tests); err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)

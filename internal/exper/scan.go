@@ -44,10 +44,11 @@ func scanSuite() []*logic.Circuit {
 // unconstrained OBD generator for enhanced scan, and launch-on-shift over
 // a scan chain through every circuit input (seq.InputChain).
 func RunScanComparison() (*ScanComparison, error) {
+	sched := atpg.NewScheduler(0)
 	out := &ScanComparison{}
 	for _, lc := range scanSuite() {
 		faults, _ := fault.OBDUniverse(lc)
-		enh, err := atpg.GenerateOBDTests(lc, faults, nil)
+		enh, err := sched.GenerateOBDTests(lc, faults, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +56,7 @@ func RunScanComparison() (*ScanComparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		los, err := seq.GenerateTests(chain, faults, seq.LOS, nil)
+		los, err := seq.GenerateTestsOn(sched, chain, faults, seq.LOS, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -28,6 +28,7 @@ type SeqModes struct {
 
 // RunSeqModes runs the three modes over the sequential testbeds.
 func RunSeqModes() (*SeqModes, error) {
+	sched := atpg.NewScheduler(0)
 	out := &SeqModes{}
 	testbeds := []struct {
 		name  string
@@ -45,7 +46,7 @@ func RunSeqModes() (*SeqModes, error) {
 		}
 		row := SeqModeRow{Name: tb.name, Cov: make(map[seq.Style]atpg.Coverage)}
 		for _, m := range []seq.Style{seq.Enhanced, seq.LOS, seq.LOC} {
-			cov, err := seq.StyleCoverage(s, m)
+			cov, err := seq.StyleCoverage(sched, s, m)
 			if err != nil {
 				return nil, fmt.Errorf("exper: %s %v: %w", tb.name, m, err)
 			}

@@ -58,7 +58,7 @@ type Config struct {
 	IncludeUndetectable bool
 	// RecordPerChip keeps every chip's ChipResult in the report.
 	RecordPerChip bool
-	// Scheduler shards the population; nil uses the package default.
+	// Scheduler shards the population; nil runs a GOMAXPROCS-sized pool.
 	Scheduler *atpg.Scheduler
 }
 
@@ -372,19 +372,15 @@ func simulateChip(cfg *Config, b *bench, chip int) ChipResult {
 	return res
 }
 
-// Run executes the campaign, fanning the chip population out over the
-// scheduler. The report is bit-identical for any worker count. A chip
-// whose simulation panics is confined to a typed per-chip error in the
-// report without perturbing the other chips; ctx cancellation returns
-// promptly with ctx's error and a report covering the completed
-// deterministic prefix.
+// Run executes the campaign, fanning the chip population out over
+// Config.Scheduler (nil runs a GOMAXPROCS-sized pool). The report is
+// bit-identical for any worker count. A chip whose simulation panics is
+// confined to a typed per-chip error in the report without perturbing
+// the other chips; ctx cancellation returns promptly with ctx's error
+// and a report covering the completed deterministic prefix.
 func (m *Campaign) Run(ctx context.Context) (*Report, error) {
-	s := m.cfg.Scheduler
-	if s == nil {
-		s = atpg.DefaultScheduler()
-	}
 	results := make([]ChipResult, m.cfg.Chips)
-	rep := s.ForEachCtx(ctx, m.cfg.Chips, func(i int) error {
+	rep := m.cfg.Scheduler.ForEachCtx(ctx, m.cfg.Chips, func(i int) error {
 		if m.testHook != nil {
 			m.testHook(i)
 		}
@@ -412,12 +408,8 @@ func (m *Campaign) SimulateRange(ctx context.Context, lo, hi int) ([]ChipResult,
 	if lo < 0 || hi > m.cfg.Chips || lo > hi {
 		return nil, nil, fmt.Errorf("mission: chip range [%d, %d) outside population [0, %d)", lo, hi, m.cfg.Chips)
 	}
-	s := m.cfg.Scheduler
-	if s == nil {
-		s = atpg.DefaultScheduler()
-	}
 	results := make([]ChipResult, hi-lo)
-	rep := s.ForEachCtx(ctx, hi-lo, func(k int) error {
+	rep := m.cfg.Scheduler.ForEachCtx(ctx, hi-lo, func(k int) error {
 		chip := lo + k
 		if m.testHook != nil {
 			m.testHook(chip)

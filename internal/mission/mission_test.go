@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"gobd/internal/atpg"
@@ -26,7 +27,8 @@ func baseConfig() Config {
 
 // TestCampaignDeterminismAcrossWorkers: the acceptance property of the
 // mission runtime — the full report (per-chip included) is bit-identical
-// for worker counts {1, 2, 8} and across re-runs with the same seed.
+// for worker counts {1, 2, 8}, for a Config without a scheduler (the
+// GOMAXPROCS pool) and across re-runs with the same seed.
 func TestCampaignDeterminismAcrossWorkers(t *testing.T) {
 	for _, adv := range []Adversity{Off(), Light(), Heavy()} {
 		cfg := baseConfig()
@@ -43,9 +45,9 @@ func TestCampaignDeterminismAcrossWorkers(t *testing.T) {
 		if want.Faults == 0 {
 			t.Fatal("campaign injected no faults; the property test is vacuous")
 		}
-		for _, w := range []int{1, 2, 8} {
+		for _, sched := range []*atpg.Scheduler{atpg.NewScheduler(1), atpg.NewScheduler(2), atpg.NewScheduler(8), nil} {
 			cfg := cfg
-			cfg.Scheduler = atpg.NewScheduler(w)
+			cfg.Scheduler = sched
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -56,8 +58,8 @@ func TestCampaignDeterminismAcrossWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("adversity %+v workers=%d run=%d: report diverges\n got %+v\nwant %+v",
-						adv, w, run, got, want)
+					t.Fatalf("adversity %+v workers=%d (nil scheduler %t) run=%d: report diverges\n got %+v\nwant %+v",
+						adv, sched.WorkerCount(), sched == nil, run, got, want)
 				}
 			}
 		}
@@ -211,10 +213,9 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired bool
+	var fired atomic.Bool // the hook runs on every worker goroutine
 	m.testHook = func(chip int) {
-		if !fired && chip >= 10 {
-			fired = true
+		if chip >= 10 && fired.CompareAndSwap(false, true) {
 			cancel()
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // TestSimulateRangeAggregateEquivalence: splitting a campaign into chip
 // ranges (any boundaries, any worker count) and folding them back with
 // Aggregate must reproduce Run's report bit-identically — the property
-// the durable job runtime's checkpoint/resume rests on.
+// the durable job runtime's checkpoint/resume rests on. A nil scheduler
+// (the GOMAXPROCS pool) is one more pool.
 func TestSimulateRangeAggregateEquivalence(t *testing.T) {
 	for _, adv := range []Adversity{Off(), Heavy()} {
 		cfg := baseConfig()
@@ -26,9 +27,9 @@ func TestSimulateRangeAggregateEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 2, 8} {
+		for _, sched := range []*atpg.Scheduler{atpg.NewScheduler(1), atpg.NewScheduler(2), atpg.NewScheduler(8), nil} {
 			cfg := cfg
-			cfg.Scheduler = atpg.NewScheduler(w)
+			cfg.Scheduler = sched
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +54,8 @@ func TestSimulateRangeAggregateEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("adversity %+v workers=%d step=%d: stitched report diverges from Run", adv, w, step)
+					t.Fatalf("adversity %+v workers=%d (nil scheduler %t) step=%d: stitched report diverges from Run",
+						adv, sched.WorkerCount(), sched == nil, step)
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func TestFullAdderVerdicts(t *testing.T) {
 		t.Fatalf("full adder has non-primitive gates: %v", skipped)
 	}
 	r := netcheck.Analyze(c, netcheck.Options{})
-	truth := must(atpg.AnalyzeExhaustive(c, faults))
+	truth := must(atpg.NewScheduler(0).AnalyzeExhaustive(c, faults))
 	if len(r.Verdicts) != len(faults) {
 		t.Fatalf("%d verdicts for %d faults", len(r.Verdicts), len(faults))
 	}

@@ -154,7 +154,7 @@ func TestCertifyCollapseOBD(t *testing.T) {
 func TestProveOBDEquivDistinguishes(t *testing.T) {
 	c := cells.FullAdderSumLogic()
 	faults, _ := fault.OBDUniverse(c)
-	truth := must(atpg.AnalyzeExhaustive(c, faults))
+	truth := must(atpg.NewScheduler(0).AnalyzeExhaustive(c, faults))
 	// Find a testable and an untestable fault: trivially inequivalent.
 	ti, ui := -1, -1
 	for i, ok := range truth.Testable {

@@ -38,7 +38,7 @@ func TestExactFullAdder(t *testing.T) {
 		t.Fatalf("OBD universe = %d faults, want 78", len(faults))
 	}
 	verdicts := netcheck.ProveOBDExactList(c, faults, 0)
-	truth := must(atpg.AnalyzeExhaustive(c, faults))
+	truth := must(atpg.NewScheduler(0).AnalyzeExhaustive(c, faults))
 	testable, untestable := 0, 0
 	for i, v := range verdicts {
 		if v.Aborted {

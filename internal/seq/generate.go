@@ -375,12 +375,6 @@ func search(sched *atpg.Scheduler, s *Circuit, faults []fault.OBD, style Style, 
 	return out, nil
 }
 
-// GenerateLOCTest is Generate specialized to launch-on-capture — the
-// broadside style the old API had no generator for.
-func GenerateLOCTest(s *Circuit, f fault.OBD, opt *Options) (*atpg.TwoPattern, atpg.Status, error) {
-	return Generate(s, f, LOC, opt)
-}
-
 // Result is the outcome of a batch generation run over one style.
 type Result struct {
 	Style    Style
@@ -390,25 +384,13 @@ type Result struct {
 	Exact    bool // the Untestable verdicts are exhaustive
 }
 
-// GenerateTests runs the style's generator over a fault list across the
-// default scheduler's pool. Every fault gets the pair Generate would
-// return for it, with a sampling seed derived from its index, so the
-// result is bit-identical for any worker count.
-func GenerateTests(s *Circuit, faults []fault.OBD, style Style, opt *Options) (*Result, error) {
-	return GenerateTestsOn(atpg.DefaultScheduler(), s, faults, style, opt)
-}
-
-// GenerateTestsOn is GenerateTests on an explicit scheduler, for callers
-// (the serving layer) that own a configured pool. The result does not
-// depend on the scheduler's worker count.
+// GenerateTestsOn runs the style's generator over a fault list on the
+// scheduler's pool (nil: GOMAXPROCS workers). Every fault gets the pair
+// Generate would return for it, with a sampling seed derived from its
+// index, so the result is bit-identical for any worker count.
 func GenerateTestsOn(sched *atpg.Scheduler, s *Circuit, faults []fault.OBD, style Style, opt *Options) (*Result, error) {
 	if opt == nil {
 		opt = DefaultOptions()
 	}
 	return search(sched, s, faults, style, opt)
-}
-
-// GenerateLOCTests is GenerateTests specialized to launch-on-capture.
-func GenerateLOCTests(s *Circuit, faults []fault.OBD, opt *Options) (*Result, error) {
-	return GenerateTests(s, faults, LOC, opt)
 }

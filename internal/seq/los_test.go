@@ -172,7 +172,7 @@ func TestLOSCoverageMatchesScalarOnFullAdder(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(c)
-	res, err := GenerateTests(s, faults, LOS, nil)
+	res, err := GenerateTestsOn(atpg.NewScheduler(0), s, faults, LOS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestUnrollGradesLikeTwoFrames(t *testing.T) {
 	if len(uFaults) != 2*len(coreFaults) {
 		t.Fatalf("unrolled universe has %d faults, want 2x%d", len(uFaults), len(coreFaults))
 	}
-	ts, err := atpg.GenerateOBDTests(u, uFaults, nil)
+	ts, err := atpg.NewScheduler(0).GenerateOBDTests(u, uFaults, nil)
 	if err != nil {
 		t.Fatalf("combinational ATPG on the unrolled circuit: %v", err)
 	}
@@ -277,7 +277,7 @@ func TestS27StyleCensus(t *testing.T) {
 	}
 	want := map[Style]int{Enhanced: 26, LOS: 25, LOC: 20}
 	for _, style := range []Style{Enhanced, LOS, LOC} {
-		res, err := GenerateTests(s, faults, style, nil)
+		res, err := GenerateTestsOn(atpg.NewScheduler(0), s, faults, style, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", style, err)
 		}
@@ -299,7 +299,7 @@ func TestGenerateLOCTestDetects(t *testing.T) {
 	faults, _ := fault.OBDUniverse(s.Core)
 	found := false
 	for _, f := range faults {
-		tp, status, err := GenerateLOCTest(s, f, nil)
+		tp, status, err := Generate(s, f, LOC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,7 +185,7 @@ func TestSearchRejectsMisfitChain(t *testing.T) {
 	}
 	flatFaults, _ := fault.OBDUniverse(flat)
 	for _, style := range []Style{Enhanced, LOS, LOC} {
-		if _, err := GenerateTests(withFFs, flatFaults, style, nil); !errors.As(err, new(*ChainError)) {
+		if _, err := GenerateTestsOn(atpg.NewScheduler(0), withFFs, flatFaults, style, nil); !errors.As(err, new(*ChainError)) {
 			t.Fatalf("DFF-bearing core, %v: got %T (%v), want *ChainError", style, err, err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestStyleCoverageMatchesEnumeration(t *testing.T) {
 					want.Undetected = append(want.Undetected, f.String())
 				}
 			}
-			got, err := StyleCoverage(s, style)
+			got, err := StyleCoverage(atpg.NewScheduler(0), s, style)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestStyleCoverageMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StyleCoverage(big, Enhanced); !errors.As(err, new(*SpaceLimitError)) {
+	if _, err := StyleCoverage(atpg.NewScheduler(0), big, Enhanced); !errors.As(err, new(*SpaceLimitError)) {
 		t.Fatalf("oversized space: got %T (%v), want *SpaceLimitError", err, err)
 	}
 }

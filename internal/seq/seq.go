@@ -14,9 +14,9 @@
 // Unroll time-frame-expands the model into one combinational circuit the
 // combinational ATPG/SAT stack runs unchanged. Test generation is unified
 // behind the Style enum (Enhanced, LOS, LOC) and shared Options:
-// GenerateTests / GenerateLOCTests for batches, Generate for one fault,
-// StyleCoverage for exhaustive pair-space grading. All of them run one
-// search (generate.go): a style's launch space is packed 64 pairs per
+// GenerateTestsOn for batches on an atpg.Scheduler, Generate for one
+// fault, StyleCoverage for exhaustive pair-space grading. All of them run
+// one search (generate.go): a style's launch space is packed 64 pairs per
 // machine word straight into the core's input words — a LOS state is the
 // shifted frame-1 state word, a LOC state the evaluated frame-1 word of
 // its flip-flop's D net — and graded chunk by chunk on the atpg package's
@@ -351,7 +351,7 @@ func shiftState(st State, scanIn logic.Value) State {
 // StyleCoverage grades every OBD fault of the core against the full pair
 // space of one application style: the generation search in its
 // exhaustive regime, for spaces of up to maxPairSpaceBits free bits.
-func StyleCoverage(s *Circuit, style Style) (atpg.Coverage, error) {
+func StyleCoverage(sched *atpg.Scheduler, s *Circuit, style Style) (atpg.Coverage, error) {
 	bits, err := styleBits(s, style)
 	if err != nil {
 		return atpg.Coverage{}, err
@@ -360,7 +360,7 @@ func StyleCoverage(s *Circuit, style Style) (atpg.Coverage, error) {
 		return atpg.Coverage{}, &SpaceLimitError{Mode: style, Bits: bits, Limit: maxPairSpaceBits}
 	}
 	faults, _ := fault.OBDUniverse(s.Core)
-	res, err := search(atpg.DefaultScheduler(), s, faults, style, &Options{ExhaustiveMaxIn: maxPairSpaceBits})
+	res, err := search(sched, s, faults, style, &Options{ExhaustiveMaxIn: maxPairSpaceBits})
 	if err != nil {
 		return atpg.Coverage{}, err
 	}

@@ -142,15 +142,16 @@ func TestModeCoverageOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enh, err := StyleCoverage(s, Enhanced)
+	sched := atpg.NewScheduler(0)
+	enh, err := StyleCoverage(sched, s, Enhanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	los, err := StyleCoverage(s, LOS)
+	los, err := StyleCoverage(sched, s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := StyleCoverage(s, LOC)
+	loc, err := StyleCoverage(sched, s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,67 @@ func TestJobRoundTripMatchesSync(t *testing.T) {
 	}
 }
 
+// nand8 is a two-level XOR parity of three inputs in eight NANDs: 32 OBD
+// faults and 22 transition and 22 stuck-at faults, so a job with
+// SegmentFaults 4 commits in 8, 6 and 6 segments.
+const nand8 = `circuit nand8
+input a b c
+output y
+nand g1 n1 a b
+nand g2 n2 a n1
+nand g3 n3 b n1
+nand g4 x n2 n3
+nand g5 n5 x c
+nand g6 n6 x n5
+nand g7 n7 c n5
+nand g8 y n6 n7
+`
+
+// TestATPGJobMatchesSync: an ATPG job commits its test set through the
+// scheduler's Resume*TestsCtx in SegmentFaults-sized segments, and its
+// artifact is byte-identical to the /v1/atpg body, which runs
+// Generate*TestsCtx in one pass, for every combinational model.
+func TestATPGJobMatchesSync(t *testing.T) {
+	_, url := newJobServer(t, t.TempDir())
+	for _, tc := range []struct {
+		model  string
+		faults int
+	}{{"obd", 32}, {"transition", 22}, {"stuckat", 22}} {
+		model, faults := tc.model, tc.faults
+		spec := JobSubmitRequest{Kind: jobs.KindATPG, Netlist: nand8, ATPG: &jobs.ATPGSpec{Model: model}}
+		status, body, _ := post(t, url+"/v1/jobs", spec)
+		if status != http.StatusAccepted {
+			t.Fatalf("%s: submit status = %d: %s", model, status, body)
+		}
+		var snap JobResponse
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Kind != jobs.KindATPG || snap.Total != faults {
+			t.Fatalf("%s: submit snapshot = %+v, want %d faults", model, snap, faults)
+		}
+		done := pollJob(t, url, snap.ID, "done")
+		if done.Committed != faults {
+			t.Fatalf("%s: committed %d of %d faults", model, done.Committed, faults)
+		}
+		resp, err := http.Get(url + "/v1/jobs/" + snap.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		artifact := readAll(t, resp)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: result status = %d: %s", model, resp.StatusCode, artifact)
+		}
+		status, syncBody, _ := post(t, url+"/v1/atpg", ATPGRequest{Netlist: nand8, Model: model})
+		if status != 200 {
+			t.Fatalf("%s: sync atpg status = %d: %s", model, status, syncBody)
+		}
+		if !bytes.Equal(artifact, syncBody) {
+			t.Fatalf("%s: job artifact diverges from synchronous response:\n job %s\nsync %s", model, artifact, syncBody)
+		}
+	}
+}
+
 // TestJobErrorPaths: the typed wire errors of the job endpoints.
 func TestJobErrorPaths(t *testing.T) {
 	_, url := newJobServer(t, t.TempDir())
