@@ -25,7 +25,8 @@
 // cells, chained in declaration order (seq.InputChain). -prune and
 // -sat-fallback tune the combinational OBD generator only: with any other
 // -model, with -style or with -apply they are usage errors too, as are a
-// negative -max-backtracks, an -n below 1 and a -cycles below 2.
+// negative -max-backtracks, an -n below 1, a -cycles below 2, a
+// -random-inputs below 1 and a negative -random-ffs.
 package main
 
 import (
@@ -84,6 +85,10 @@ func main() {
 		usage("-n %d is below 1", *nDetect)
 	case *cycles < 2:
 		usage("-cycles %d is below 2 (fewer than two patterns give no launch pair)", *cycles)
+	case *randIns < 1:
+		usage("-random-inputs %d is below 1", *randIns)
+	case *randFFs < 0:
+		usage("-random-ffs %d is negative", *randFFs)
 	}
 	sched := atpg.NewScheduler(*workers)
 	sched.CollectStats = *stats

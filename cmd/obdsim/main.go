@@ -140,6 +140,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obdsim:", err)
 		os.Exit(1)
 	}
+	if *pairCount < 0 {
+		fmt.Fprintf(os.Stderr, "obdsim: -pairs %d is negative\n", *pairCount)
+		os.Exit(2)
+	}
 	if *netlist != "" {
 		if err := gradeNetlist(*netlist, *pairCount, *pairSeed, *workers, *jsonOut); err != nil {
 			die(err)

@@ -42,7 +42,8 @@ var (
 type (
 	// ExactVerdict is one fault's complete SAT verdict with certificate.
 	ExactVerdict = netcheck.ExactVerdict
-	// ExactWitness is a testable verdict's two-pattern witness.
+	// ExactWitness is a testable verdict's two-pattern witness. Its maps
+	// are read-only: witnesses of one list call may share them.
 	ExactWitness = netcheck.ExactWitness
 	// ExactRefutation rules out one excitation pair (pin conflict or
 	// UNSAT proof).

@@ -15,9 +15,11 @@ type OBD struct {
 	Side  Side
 }
 
-// String implements fmt.Stringer, e.g. "g7/NMOS@a".
+// String implements fmt.Stringer, e.g. "g7/NMOS@a". It concatenates
+// rather than formats: the exact prover and coverage merges name every
+// fault they decide.
 func (f OBD) String() string {
-	return fmt.Sprintf("%s/%v@%s", f.Gate.Name, f.Side, f.Gate.Inputs[f.Input])
+	return f.Gate.Name + "/" + f.Side.String() + "@" + f.Gate.Inputs[f.Input]
 }
 
 // SlowRising reports the direction of the transition the defect slows:

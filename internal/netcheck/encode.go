@@ -42,11 +42,20 @@ func (b *cnfBuilder) newVar() sat.Lit {
 // add appends a clause. Its literals go to the end of the arena, and the
 // clause is the capacity-clipped subslice holding them, so one growing
 // array backs every clause. When the arena grows, the clauses already
-// added keep the old array, whose contents never change.
+// added keep the old array, whose contents never change until reset.
 func (b *cnfBuilder) add(lits ...sat.Lit) {
 	start := len(b.arena)
 	b.arena = append(b.arena, lits...)
 	b.clauses = append(b.clauses, b.arena[start:len(b.arena):len(b.arena)])
+}
+
+// reset empties the builder, keeping its storage, for a CNF whose first
+// nv variables are already taken: a tail that follows a shared frame.
+// The clauses added before reset are overwritten by the next ones.
+func (b *cnfBuilder) reset(nv int) {
+	b.nv = nv
+	b.clauses = b.clauses[:0]
+	b.arena = b.arena[:0]
 }
 
 // run feeds the CNF into a fresh proof-logging solver and solves it.
@@ -56,13 +65,25 @@ func (b *cnfBuilder) run(budget int) (*sat.Solver, sat.Status) {
 	if budget > 0 {
 		s.MaxConflicts = int64(budget)
 	}
-	for s.NumVars() < b.nv {
+	load(s, b.nv, b.clauses)
+	return s, s.Solve()
+}
+
+// load resets s and feeds it a CNF over nv variables given as parts:
+// every variable first, then each part's clauses in order. A CNF split
+// into a shared prefix and a tail therefore loads exactly like the one
+// list holding both, with the same status, model and proof, and neither
+// part is copied on the way.
+func load(s *sat.Solver, nv int, parts ...[][]sat.Lit) {
+	s.Reset()
+	for s.NumVars() < nv {
 		s.NewVar()
 	}
-	for _, cl := range b.clauses {
-		s.AddClause(cl...)
+	for _, part := range parts {
+		for _, cl := range part {
+			s.AddClause(cl...)
+		}
 	}
-	return s, s.Solve()
 }
 
 // encodeGate emits the Tseitin biconditional out ↔ t(ins).
@@ -282,6 +303,15 @@ func obdFrame1(x *logic.Index, demands []sideVal) (*cnfBuilder, []sat.Lit) {
 func obdFrame2(x *logic.Index, f fault.OBD, o1 logic.Value, demands []sideVal) (*cnfBuilder, []sat.Lit) {
 	b := &cnfBuilder{}
 	vars := b.encodeFrame(x)
+	b.frame2Tail(x, vars, f, o1, demands)
+	return b, vars
+}
+
+// frame2Tail emits everything obdFrame2 adds to the good frame vars:
+// the demand units, the forced site, the faulty cone and the primary
+// output difference. The exact prover emits it after a frame it encoded
+// once; obdFrame2 after a fresh one.
+func (b *cnfBuilder) frame2Tail(x *logic.Index, vars []sat.Lit, f fault.OBD, o1 logic.Value, demands []sideVal) {
 	b.demandUnits(x, vars, demands)
 	siteID := int32(x.NetIDs[f.Gate.Output])
 	cone := x.FanoutCone(siteID)
@@ -293,7 +323,6 @@ func obdFrame2(x *logic.Index, f fault.OBD, o1 logic.Value, demands []sideVal) (
 	}
 	fvars := b.encodeFaultyCone(x, vars, cone, siteID, siteVar)
 	b.assertPODiff(x, vars, fvars, cone)
-	return b, vars
 }
 
 // litOf returns the literal asserting the demanded value of a net.

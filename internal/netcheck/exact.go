@@ -54,7 +54,10 @@ const (
 )
 
 // ExactWitness is a testability certificate: a concrete two-pattern,
-// named by the excitation pair it realizes.
+// named by the excitation pair it realizes. V1 and V2 are read-only:
+// the witnesses of one ProveOBDExactList call that come from the same
+// simulated pair share the same two maps, so writing to one would
+// change them all. Copy a map before modifying it.
 type ExactWitness struct {
 	Pair string                 `json:"pair"`
 	V1   map[string]logic.Value `json:"v1"`
@@ -138,8 +141,12 @@ func ProveOBDExactBudget(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict
 // ProveOBDExactList decides a fault list; the result is index-aligned
 // with faults. Simulation goes first: every fault that one of simPairs
 // seeded random pairs detects is testable, with the first detecting pair
-// as its witness. Only the faults no pair detects are decided by SAT.
-// A DFF-bearing circuit is decided over its combinational core (see
+// as its witness, whose V1/V2 maps it shares with every other witness
+// of the call drawn from that pair. Only the faults no pair detects are
+// decided by SAT: the good frame is encoded once, at the first of them,
+// and every frame instance is solved on one reused solver, with the
+// verdicts and proofs a fresh solver per instance would give. A
+// DFF-bearing circuit is decided over its combinational core (see
 // exactCore). The circuit must validate.
 func ProveOBDExactList(c *logic.Circuit, faults []fault.OBD, budget int) []ExactVerdict {
 	return proveExactList(c, faults, budget, simPairs)
@@ -159,12 +166,19 @@ func proveExactList(c *logic.Circuit, faults []fault.OBD, budget, nsim int) []Ex
 		return out
 	}
 	sim := newSimGrader(core, nsim)
+	if len(onCore) > 1 {
+		sim.shared = make(map[int][2]map[string]logic.Value)
+	}
+	var res *residue
 	for i, f := range onCore {
 		if w := sim.witness(f); w != nil {
 			out[i] = ExactVerdict{Fault: f.String(), Testable: true, Witness: w}
 			continue
 		}
-		out[i] = proveSAT(core, f, budget)
+		if res == nil {
+			res = newResidue(core.Index(), budget)
+		}
+		out[i] = res.prove(f)
 	}
 	return out
 }
@@ -201,6 +215,10 @@ type simGrader struct {
 	// words holds block b's frame-f word of input i at
 	// words[(2*b+f)*len(c.Inputs)+i].
 	words []uint64
+	// shared holds the V1 and V2 maps of every pair that already named
+	// a witness, keyed by pair index, so witnesses naming the same pair
+	// share them. Nil when the call has one fault and nothing to share.
+	shared map[int][2]map[string]logic.Value
 }
 
 func newSimGrader(c *logic.Circuit, n int) *simGrader {
@@ -236,27 +254,73 @@ func (s *simGrader) pair(i int) (v1, v2 map[string]logic.Value) {
 }
 
 // witness returns the first pair that detects f as a witness named by
-// the excitation pair it realizes, or nil when no pair detects f.
+// the excitation pair it realizes, or nil when no pair detects f. The
+// pair's V1 and V2 maps are built once per call (see shared).
 func (s *simGrader) witness(f fault.OBD) *ExactWitness {
 	i := s.pg.FirstDetecting(f)
 	if i < 0 {
 		return nil
 	}
-	v1, v2 := s.pair(i)
-	return &ExactWitness{Pair: s.pg.LocalPair(f, i).String(), V1: v1, V2: v2}
+	p, ok := s.shared[i]
+	if !ok {
+		p[0], p[1] = s.pair(i)
+		if s.shared != nil {
+			s.shared[i] = p
+		}
+	}
+	return &ExactWitness{Pair: s.pg.LocalPair(f, i).String(), V1: p[0], V2: p[1]}
 }
 
-// proveSAT decides f pair by pair: each excitation pair becomes two SAT
-// instances, frame-1 justification and frame-2 excitation and
-// propagation (see encode.go).
-func proveSAT(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
+// residue is the exact prover's SAT pass over one circuit's index: the
+// good frame, encoded once, and one reused proof-logging solver. Every
+// instance loads as the frame's clauses followed by its own tail (the
+// demand units, plus the faulty cone and the output difference in
+// frame 2), the same CNF in the same order that obdFrame1 and obdFrame2
+// build from scratch, so verdicts and proofs are those of a fresh
+// solver per instance, and VerifyExactVerdict re-encodes exactly the
+// formula each proof refutes.
+type residue struct {
+	x     *logic.Index
+	frame cnfBuilder // the good frame
+	vars  []sat.Lit  // the frame's literal per net ID
+	tail  cnfBuilder // the current instance's own clauses
+	s     sat.Solver
+}
+
+func newResidue(x *logic.Index, budget int) *residue {
+	r := &residue{x: x, s: sat.Solver{ProofEnabled: true}}
+	if budget > 0 {
+		r.s.MaxConflicts = int64(budget)
+	}
+	r.vars = r.frame.encodeFrame(r.x)
+	return r
+}
+
+// solve decides the frame plus the current tail.
+func (r *residue) solve() sat.Status {
+	load(&r.s, r.tail.nv, r.frame.clauses, r.tail.clauses)
+	return r.s.Solve()
+}
+
+// inputs reads the primary-input assignment out of the last model.
+func (r *residue) inputs() map[string]logic.Value {
+	out := make(map[string]logic.Value, len(r.x.InputIDs))
+	for _, id := range r.x.InputIDs {
+		out[r.x.NetNames[id]] = logic.FromBool(r.s.Value(int(r.vars[id])))
+	}
+	return out
+}
+
+// prove decides f pair by pair: each excitation pair becomes two SAT
+// instances, frame-2 excitation and propagation, then frame-1
+// justification (see encode.go).
+func (r *residue) prove(f fault.OBD) ExactVerdict {
 	v := ExactVerdict{Fault: f.String()}
 	pairs := f.ExcitationPairs()
 	if len(pairs) == 0 {
 		v.Reason = ReasonNoExcitation
 		return v
 	}
-	x := c.Index()
 	refs := make([]ExactRefutation, 0, len(pairs))
 	aborted := false
 	for _, p := range pairs {
@@ -270,20 +334,23 @@ func proveSAT(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
 			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 1, PinConflict: true})
 			continue
 		}
-		b2, vars2 := obdFrame2(x, f, f.Gate.Eval(p.V1), d2)
-		s2, st2 := b2.run(budget)
+		r.tail.reset(r.frame.nv)
+		r.tail.frame2Tail(r.x, r.vars, f, f.Gate.Eval(p.V1), d2)
+		st2 := r.solve()
 		if st2 == sat.Unsat {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 2, Proof: s2.Proof()})
+			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 2, Proof: r.s.Proof()})
 			continue
 		}
 		if st2 == sat.Unknown {
 			aborted = true
 			continue
 		}
-		b1, vars1 := obdFrame1(x, d1)
-		s1, st1 := b1.run(budget)
+		v2 := r.inputs() // before frame 1 reuses the solver
+		r.tail.reset(r.frame.nv)
+		r.tail.demandUnits(r.x, r.vars, d1)
+		st1 := r.solve()
 		if st1 == sat.Unsat {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 1, Proof: s1.Proof()})
+			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 1, Proof: r.s.Proof()})
 			continue
 		}
 		if st1 == sat.Unknown {
@@ -291,14 +358,10 @@ func proveSAT(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
 			continue
 		}
 		// Both frames satisfiable: the fault is testable, and the two
-		// models ARE the two-pattern (the frames share no variables, so
-		// independent solutions compose).
+		// models ARE the two-pattern (the frames are separate instances,
+		// so independent solutions compose).
 		v.Testable = true
-		v.Witness = &ExactWitness{
-			Pair: p.String(),
-			V1:   inputsFrom(c, x, s1, vars1),
-			V2:   inputsFrom(c, x, s2, vars2),
-		}
+		v.Witness = &ExactWitness{Pair: p.String(), V1: r.inputs(), V2: v2}
 		return v
 	}
 	if aborted {
@@ -308,15 +371,6 @@ func proveSAT(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
 	v.Reason = ReasonPairsRefuted
 	v.Pairs = refs
 	return v
-}
-
-// inputsFrom reads the primary-input assignment out of a model.
-func inputsFrom(c *logic.Circuit, x *logic.Index, s *sat.Solver, vars []sat.Lit) map[string]logic.Value {
-	out := make(map[string]logic.Value, len(c.Inputs))
-	for i, in := range c.Inputs {
-		out[in] = logic.FromBool(s.Value(int(vars[x.InputIDs[i]])))
-	}
-	return out
 }
 
 // VerifyExactVerdict replays an exact verdict's evidence from scratch:

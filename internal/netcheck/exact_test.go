@@ -1,6 +1,8 @@
 package netcheck_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -465,6 +467,43 @@ func TestExactSequentialCore(t *testing.T) {
 		}
 		if err := netcheck.VerifyExactVerdict(c, f, verdicts[i]); err != nil {
 			t.Fatalf("%s: %v", f, err)
+		}
+	}
+}
+
+// TestExactGoldenDigests pins the exact census byte for byte: the sha256
+// of the JSON of ProveOBDExactList over each circuit's OBD universe, in
+// OBDUniverse order. Verdicts, witnesses, refutations and proofs all
+// enter the digest, so a change to how instances are built or solved
+// that alters any of them fails here.
+func TestExactGoldenDigests(t *testing.T) {
+	load := func(path string) func() *logic.Circuit {
+		return func() *logic.Circuit {
+			c, err := logic.ParseFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		c      func() *logic.Circuit
+		bytes  int
+		sha256 string
+	}{
+		{"c432", load("../../testdata/c432.bench"), 446984, "ac82def8811cc74b8d9e6c11ce35c5f2af9f52419de452fc14a368afaa3e643a"},
+		{"s27 core", load("../../testdata/s27.bench"), 7735, "650f983e4843d5b830dd5798488ae7b453be3581d90d29a6a341d279edcde66f"},
+		{"full adder", cells.FullAdderSumLogic, 10390, "1561e817b21bf68b5ec6bfbae308d0bbc9829bedc0e165fcc76cca1c591bec20"},
+	} {
+		c := tc.c()
+		faults, _ := fault.OBDUniverse(c)
+		b, err := json.Marshal(netcheck.ProveOBDExactList(c, faults, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.bytes || sum != tc.sha256 {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", tc.name, len(b), sum, tc.bytes, tc.sha256)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -42,7 +43,8 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 // FuzzSAT cross-checks the CDCL solver against brute-force enumeration
 // on arbitrary small CNFs: verdicts must agree, Sat models must satisfy
 // every clause, and Unsat proofs must pass the independent RUP checker.
-// Determinism rides along: a second identical run must match exactly.
+// Determinism rides along: a second identical run must match exactly,
+// and so must a run on a solver Reset after solving another formula.
 func FuzzSAT(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0, 2, 4, 0, 5, 6, 0})
 	f.Add([]byte{2, 1, 0, 2, 0, 3, 4, 0})          // forces units
@@ -86,6 +88,25 @@ func FuzzSAT(f *testing.F) {
 		}
 		if st2 := s2.Solve(); st2 != st {
 			t.Fatalf("re-run verdict drifted: %v then %v", st, st2)
+		}
+		// A warm solver: solve the mirror image (every literal negated),
+		// Reset, then solve the input. Status, model and proof must equal
+		// the fresh run's.
+		s3 := &Solver{ProofEnabled: true}
+		for _, cl := range cnf {
+			mirror := make([]Lit, len(cl))
+			for i, l := range cl {
+				mirror[i] = -l
+			}
+			s3.AddClause(mirror...)
+		}
+		s3.Solve()
+		s3.Reset()
+		for _, cl := range cnf {
+			s3.AddClause(cl...)
+		}
+		if st3 := s3.Solve(); st3 != st || !reflect.DeepEqual(s3.Model(), s.Model()) || !reflect.DeepEqual(s3.Proof(), s.Proof()) {
+			t.Fatalf("reset solver differs from a fresh one: %v then %v (cnf %v)", st, st3, cnf)
 		}
 	})
 }

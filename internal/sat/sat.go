@@ -50,17 +50,18 @@ func (s Status) String() string {
 	}
 }
 
-// clause is a stored disjunction over internal literals. The watched
-// literals are always positions 0 and 1; for reason clauses the implied
-// literal is position 0.
-type clause struct {
-	lits []int32
-}
-
 // Solver is a single-use-or-incremental CDCL engine. Add clauses with
 // AddClause, then call Solve; more clauses may be added between Solve
 // calls (assignments above decision level 0 are undone at each call).
-// The zero value is ready to use.
+// The zero value is ready to use, and Reset returns a used solver to
+// that state while keeping its storage, so one solver can decide a
+// sequence of formulas without allocating once its buffers are warm.
+//
+// Every stored clause, problem or learnt, lives in one int32 arena: a
+// length word followed by the clause's internal literals. A clause is
+// named by the arena offset of its length word, which is what the watch
+// lists and reasons hold. The watched literals are always positions 0
+// and 1; for reason clauses the implied literal is position 0.
 type Solver struct {
 	// MaxConflicts caps the conflicts spent by one Solve call; 0 or
 	// negative means unlimited (the solver is then complete).
@@ -75,12 +76,12 @@ type Solver struct {
 	ProofEnabled bool
 
 	nVars   int
-	clauses []clause
-	watches [][]int32 // per internal literal: indices of watching clauses
+	arena   []int32   // every clause: length word, then its literals
+	watches [][]int32 // per internal literal: offsets of watching clauses
 
 	assign   []int8 // per var: 0 unassigned, +1 true, -1 false
 	level    []int32
-	reason   []int32 // clause index, or -1 for decisions/top-level units
+	reason   []int32 // clause offset, or -1 for decisions/top-level units
 	trail    []int32
 	trailLim []int32
 	qhead    int
@@ -93,10 +94,39 @@ type Solver struct {
 
 	seen    []int8
 	learnt  []int32
-	seeded  int // number of vars whose initial activity has been seeded
 	proof   Proof
 	unsat   bool
 	scratch []int32 // AddClause normalization buffer
+}
+
+// Reset empties the solver: no variables, no clauses, no proof. Its
+// options (MaxConflicts, Seed, ProofEnabled) and the capacity of every
+// buffer stay, so the next formula loads into warm storage. A reset
+// solver behaves exactly like a fresh one given the same options: the
+// same clauses yield the same status, model and proof. The proof is
+// dropped, not truncated, so a Proof returned before Reset stays intact.
+func (s *Solver) Reset() {
+	// Every field not named here starts from its zero value, as in a
+	// fresh solver; the buffers keep their arrays at length zero.
+	*s = Solver{
+		MaxConflicts: s.MaxConflicts,
+		Seed:         s.Seed,
+		ProofEnabled: s.ProofEnabled,
+		arena:        s.arena[:0],
+		watches:      s.watches[:0],
+		assign:       s.assign[:0],
+		level:        s.level[:0],
+		reason:       s.reason[:0],
+		trail:        s.trail[:0],
+		trailLim:     s.trailLim[:0],
+		activity:     s.activity[:0],
+		heap:         s.heap[:0],
+		heapPos:      s.heapPos[:0],
+		phase:        s.phase[:0],
+		seen:         s.seen[:0],
+		learnt:       s.learnt[:0],
+		scratch:      s.scratch[:0],
+	}
 }
 
 // NumVars returns the highest variable mentioned so far.
@@ -119,7 +149,14 @@ func (s *Solver) growTo(n int) {
 		s.phase = append(s.phase, -1)
 		s.seen = append(s.seen, 0)
 		s.heapPos = append(s.heapPos, -1)
-		s.watches = append(s.watches, nil, nil)
+		if w := len(s.watches) + 2; w <= cap(s.watches) {
+			// Reuse the watch lists a Reset left behind, emptied.
+			s.watches = s.watches[:w]
+			s.watches[w-2] = s.watches[w-2][:0]
+			s.watches[w-1] = s.watches[w-1][:0]
+		} else {
+			s.watches = append(s.watches, nil, nil)
+		}
 		v := int32(s.nVars - 1)
 		if s.Seed != 0 {
 			// splitmix64 of (Seed, v): a deterministic sub-1e-3 nudge that
@@ -226,19 +263,27 @@ func (s *Solver) AddClause(lits ...Lit) {
 			return
 		}
 		ci := s.store(s.scratch)
-		s.uncheckedEnqueue(s.clauses[ci].lits[0], ci)
+		s.uncheckedEnqueue(s.arena[ci+1], ci)
 	default:
 		s.store(s.scratch)
 	}
 }
 
-// store copies lits into the clause arena and attaches watches 0,1.
+// store appends lits to the clause arena behind a length word, attaches
+// watches 0,1 and returns the clause's offset.
 func (s *Solver) store(lits []int32) int32 {
-	ci := int32(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: append([]int32(nil), lits...)})
+	ci := int32(len(s.arena))
+	s.arena = append(s.arena, int32(len(lits)))
+	s.arena = append(s.arena, lits...)
 	s.watches[lits[0]] = append(s.watches[lits[0]], ci)
 	s.watches[lits[1]] = append(s.watches[lits[1]], ci)
 	return ci
+}
+
+// clause returns the literals of the clause at arena offset ci. The
+// slice aliases the arena: writes through it reorder the stored clause.
+func (s *Solver) clause(ci int32) []int32 {
+	return s.arena[ci+1 : ci+1+s.arena[ci]]
 }
 
 // uncheckedEnqueue assigns a literal true with the given reason clause.
@@ -267,7 +312,7 @@ func (s *Solver) propagate() int32 {
 		j := 0
 		for i := 0; i < len(ws); i++ {
 			ci := ws[i]
-			lits := s.clauses[ci].lits
+			lits := s.clause(ci)
 			if lits[0] == fl {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
@@ -320,7 +365,7 @@ func (s *Solver) analyze(confl int32) int32 {
 	idx := len(s.trail) - 1
 	ci := confl
 	for {
-		lits := s.clauses[ci].lits
+		lits := s.clause(ci)
 		start := 0
 		if p >= 0 {
 			start = 1 // lits[0] is the implied literal p itself

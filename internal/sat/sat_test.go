@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -26,6 +27,27 @@ func solveCNF(cnf [][]Lit) (*Solver, Status) {
 		s.AddClause(cl...)
 	}
 	return s, s.Solve()
+}
+
+// pigeonhole returns PHP(pigeons, holes), unsatisfiable when pigeons > holes.
+func pigeonhole(pigeons, holes int) [][]Lit {
+	v := func(p, h int) Lit { return Lit(p*holes + h + 1) }
+	var cnf [][]Lit
+	for p := 0; p < pigeons; p++ {
+		var cl []Lit
+		for h := 0; h < holes; h++ {
+			cl = append(cl, v(p, h))
+		}
+		cnf = append(cnf, cl)
+	}
+	for h := 0; h < holes; h++ {
+		for p := 0; p < pigeons; p++ {
+			for q := p + 1; q < pigeons; q++ {
+				cnf = append(cnf, []Lit{-v(p, h), -v(q, h)})
+			}
+		}
+	}
+	return cnf
 }
 
 func TestSimpleSat(t *testing.T) {
@@ -54,23 +76,7 @@ func TestSimpleUnsat(t *testing.T) {
 // unsatisfiable and conflict-heavy enough to exercise learning,
 // restarts and the proof logger.
 func TestPigeonhole(t *testing.T) {
-	const pigeons, holes = 4, 3
-	v := func(p, h int) Lit { return Lit(p*holes + h + 1) }
-	var cnf [][]Lit
-	for p := 0; p < pigeons; p++ {
-		var cl []Lit
-		for h := 0; h < holes; h++ {
-			cl = append(cl, v(p, h))
-		}
-		cnf = append(cnf, cl)
-	}
-	for h := 0; h < holes; h++ {
-		for p := 0; p < pigeons; p++ {
-			for q := p + 1; q < pigeons; q++ {
-				cnf = append(cnf, []Lit{-v(p, h), -v(q, h)})
-			}
-		}
-	}
+	cnf := pigeonhole(4, 3)
 	s, st := solveCNF(cnf)
 	if st != Unsat {
 		t.Fatalf("PHP(4,3) = %v, want unsat", st)
@@ -172,22 +178,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestMaxConflicts(t *testing.T) {
 	// PHP(5,4) needs well over one conflict; a budget of 1 must abort.
-	const pigeons, holes = 5, 4
-	v := func(p, h int) Lit { return Lit(p*holes + h + 1) }
 	s := &Solver{MaxConflicts: 1}
-	for p := 0; p < pigeons; p++ {
-		var cl []Lit
-		for h := 0; h < holes; h++ {
-			cl = append(cl, v(p, h))
-		}
+	for _, cl := range pigeonhole(5, 4) {
 		s.AddClause(cl...)
-	}
-	for h := 0; h < holes; h++ {
-		for p := 0; p < pigeons; p++ {
-			for q := p + 1; q < pigeons; q++ {
-				s.AddClause(-v(p, h), -v(q, h))
-			}
-		}
 	}
 	if st := s.Solve(); st != Unknown {
 		t.Fatalf("budget-1 solve = %v, want unknown", st)
@@ -261,6 +254,127 @@ func TestSolveZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Solve allocated %v times per call, want 0", allocs)
+	}
+}
+
+// randomCNF draws a seeded random CNF near the satisfiability
+// threshold: n variables and 6n clauses of three or four literals, so a
+// sequence of them mixes sat and unsat formulas that need real search.
+func randomCNF(rng *rand.Rand, n int) [][]Lit {
+	cnf := make([][]Lit, 0, 6*n)
+	for len(cnf) < cap(cnf) {
+		cl := make([]Lit, 3+rng.Intn(2))
+		for i := range cl {
+			cl[i] = Lit(1 + rng.Intn(n))
+			if rng.Intn(2) == 0 {
+				cl[i] = -cl[i]
+			}
+		}
+		cnf = append(cnf, cl)
+	}
+	return cnf
+}
+
+// TestResetMatchesFresh pins Reset's contract: one solver decides a
+// sequence of formulas, reset between them, and every result (status,
+// model, proof) equals a fresh solver's with the same options. The
+// sequence includes a budget-exhausted Unknown solve and a formula
+// refuted inside AddClause, and a proof returned before a Reset must be
+// unchanged after the next formula is solved.
+func TestResetMatchesFresh(t *testing.T) {
+	type step struct {
+		cnf    [][]Lit
+		budget int64
+	}
+	for _, seed := range []uint64{0, 7} {
+		rng := rand.New(rand.NewSource(int64(seed) + 1))
+		var steps []step
+		for i := 0; i < 24; i++ {
+			steps = append(steps, step{cnf: randomCNF(rng, 5+rng.Intn(40))})
+			switch i {
+			case 5:
+				steps = append(steps, step{cnf: pigeonhole(5, 4), budget: 1})
+			case 11:
+				// Refuted while loading: {1} then {-1} empties the formula.
+				steps = append(steps, step{cnf: append([][]Lit{{1}, {-1}}, randomCNF(rng, 9)...)})
+			case 17:
+				steps = append(steps, step{cnf: pigeonhole(4, 3)})
+			}
+		}
+		warm := &Solver{ProofEnabled: true, Seed: seed}
+		var lastProof, lastCopy Proof
+		seen := map[Status]int{}
+		for k, st := range steps {
+			warm.Reset()
+			warm.MaxConflicts = st.budget
+			fresh := &Solver{ProofEnabled: true, Seed: seed, MaxConflicts: st.budget}
+			for _, cl := range st.cnf {
+				warm.AddClause(cl...)
+				fresh.AddClause(cl...)
+			}
+			got, want := warm.Solve(), fresh.Solve()
+			if got != want {
+				t.Fatalf("seed %d step %d: reset solver %v, fresh solver %v", seed, k, got, want)
+			}
+			if !reflect.DeepEqual(warm.Model(), fresh.Model()) {
+				t.Fatalf("seed %d step %d: models differ", seed, k)
+			}
+			if !reflect.DeepEqual(warm.Proof(), fresh.Proof()) {
+				t.Fatalf("seed %d step %d: proofs differ:\n%v\n%v", seed, k, warm.Proof(), fresh.Proof())
+			}
+			if got == Unsat {
+				if err := Check(warm.NumVars(), st.cnf, warm.Proof()); err != nil {
+					t.Fatalf("seed %d step %d: refutation rejected: %v", seed, k, err)
+				}
+			}
+			if !reflect.DeepEqual(lastProof, lastCopy) {
+				t.Fatalf("seed %d step %d: the previous formula's proof changed after Reset", seed, k)
+			}
+			lastProof, lastCopy = warm.Proof(), nil
+			for _, cl := range lastProof {
+				lastCopy = append(lastCopy, append([]Lit{}, cl...))
+			}
+			seen[got]++
+		}
+		if seen[Sat] == 0 || seen[Unsat] < 2 || seen[Unknown] != 1 {
+			t.Fatalf("seed %d: sequence outcomes %v, want sat, unsat and one unknown", seed, seen)
+		}
+	}
+}
+
+// TestResetZeroAllocSteadyState: once a solver's buffers are warm,
+// Reset, loading the same formula again and solving it allocate
+// nothing (proof logging off). The formula is an unsat random CNF, so
+// the loop includes conflicts, learnt clauses and restarts.
+func TestResetZeroAllocSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var cnf [][]Lit
+	for {
+		cnf = randomCNF(rng, 40)
+		if _, st := solveCNF(cnf); st == Unsat {
+			break
+		}
+	}
+	s := &Solver{}
+	load := func() Status {
+		s.Reset()
+		for _, cl := range cnf {
+			s.AddClause(cl...)
+		}
+		return s.Solve()
+	}
+	for i := 0; i < 3; i++ {
+		if st := load(); st != Unsat {
+			t.Fatalf("warmup solve = %v, want unsat", st)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if st := load(); st != Unsat {
+			t.Fatal("steady-state solve not unsat")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset, reload and Solve allocated %v times per call, want 0", allocs)
 	}
 }
 
