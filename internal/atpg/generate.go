@@ -163,7 +163,7 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemV
 			continue
 		}
 		tp := &TwoPattern{V1: v1.Filled(c, logic.Zero), V2: v2.Filled(c, logic.Zero)}
-		if NewPairGrader(c, []TwoPattern{*tp}).Detects(f) {
+		if pv.validates(f, tp) {
 			return tp, Detected
 		}
 		// The pair justified locally but the filled vectors do not detect

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"gobd/internal/fault"
 	"gobd/internal/logic"
 )
 
@@ -21,6 +22,7 @@ type podemView struct {
 	cc0, cc1, co []int
 
 	scratch sync.Pool // *podemScratch sized to x
+	graders sync.Pool // *PairGrader over the circuit, for one-pair validation
 }
 
 // newPodemView indexes c for PODEM and, unless opt disables it, computes
@@ -49,6 +51,7 @@ func newPodemView(c *logic.Circuit, opt *Options) *podemView {
 	for _, ins := range x.GateIn {
 		maxIn = max(maxIn, len(ins))
 	}
+	v.graders.New = func() any { return fault.NewPairGrader(c, 0, nil) }
 	v.scratch.New = func() any {
 		return &podemScratch{
 			good:    make([]logic.Value, n+1),
@@ -350,11 +353,22 @@ func (e *podemEngine) detected() bool {
 	return false
 }
 
+// validates reports whether the pair tp detects f, on a one-lane grader
+// taken from the view's pool.
+func (v *podemView) validates(f fault.OBD, tp *TwoPattern) bool {
+	pg := v.graders.Get().(*PairGrader)
+	pg.Append(tp.V1, tp.V2)
+	ok := pg.Detects(f)
+	pg.Reset()
+	v.graders.Put(pg)
+	return ok
+}
+
 // pattern is the current primary-input assignment as a Pattern: the
 // search's one map write, made once it succeeds.
 func (e *podemEngine) pattern() Pattern {
 	x := e.v.x
-	p := make(Pattern)
+	p := make(Pattern, len(x.InputIDs))
 	for _, id := range x.InputIDs {
 		if v := e.sc.good[id]; v.IsKnown() {
 			p[x.NetNames[id]] = v

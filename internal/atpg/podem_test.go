@@ -30,14 +30,29 @@ func testSetDigest(c *logic.Circuit, tests []TwoPattern) string {
 	for i, tp := range tests {
 		lines[i] = tp.StringFor(c)
 	}
+	return linesDigest(lines)
+}
+
+// patternSetDigest is the hex sha256 of a pattern set's KeyFor lines
+// joined by newlines.
+func patternSetDigest(c *logic.Circuit, tests []Pattern) string {
+	lines := make([]string, len(tests))
+	for i, p := range tests {
+		lines[i] = p.KeyFor(c)
+	}
+	return linesDigest(lines)
+}
+
+// linesDigest is the hex sha256 of lines joined by newlines.
+func linesDigest(lines []string) string {
 	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
 	return hex.EncodeToString(sum[:])
 }
 
 // TestPODEMGoldenC432 pins PODEM's decision order: on c432 in file order
 // with one worker and default options, every model's test count and
-// backtrack spend, with and without SCOAP guidance, and the OBD test
-// sets themselves by digest. A change to the requirement order, the
+// backtrack spend, with and without SCOAP guidance, and every model's
+// test set itself by digest. A change to the requirement order, the
 // D-frontier scan, the backtrace choice or the implication semantics
 // moves at least one of these numbers. It also pins the verdicts of
 // faults that name nets by string only: a fault list from a second
@@ -54,11 +69,13 @@ func TestPODEMGoldenC432(t *testing.T) {
 		obdTests, obdBT      int
 		obdDigest            string
 		trTests, trBT        int
+		trDigest             string
 		saTests, saBT        int
+		saDigest             string
 		obdCovered, obdTotal int
 	}{
-		{true, 194, 213, "90f465a08aec93da", 131, 64, 55, 32, 567, 584},
-		{false, 185, 203, "a9be2de32838bdfc", 129, 22, 53, 11, 567, 584},
+		{true, 194, 213, "90f465a08aec93da", 131, 64, "1429be8724fdcea9", 55, 32, "f884b2e31c2ec624", 567, 584},
+		{false, 185, 203, "a9be2de32838bdfc", 129, 22, "fe57033ad2abcd97", 53, 11, "877cf4179335a242", 567, 584},
 	} {
 		opts := func(bt *int) *Options {
 			o := DefaultOptions()
@@ -82,16 +99,18 @@ func TestPODEMGoldenC432(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tts.Tests) != tc.trTests || bt != tc.trBT {
-			t.Errorf("scoap=%v transition: %d tests, %d backtracks; want %d, %d", tc.scoap, len(tts.Tests), bt, tc.trTests, tc.trBT)
+		if d := testSetDigest(c, tts.Tests); len(tts.Tests) != tc.trTests || bt != tc.trBT || !strings.HasPrefix(d, tc.trDigest) {
+			t.Errorf("scoap=%v transition: %d tests, %d backtracks, digest %.16s; want %d, %d, %s",
+				tc.scoap, len(tts.Tests), bt, d, tc.trTests, tc.trBT, tc.trDigest)
 		}
 		bt = 0
 		sts, err := s.GenerateStuckAtTests(c, sa, opts(&bt))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sts.Tests) != tc.saTests || bt != tc.saBT {
-			t.Errorf("scoap=%v stuck-at: %d tests, %d backtracks; want %d, %d", tc.scoap, len(sts.Tests), bt, tc.saTests, tc.saBT)
+		if d := patternSetDigest(c, sts.Tests); len(sts.Tests) != tc.saTests || bt != tc.saBT || !strings.HasPrefix(d, tc.saDigest) {
+			t.Errorf("scoap=%v stuck-at: %d tests, %d backtracks, digest %.16s; want %d, %d, %s",
+				tc.scoap, len(sts.Tests), bt, d, tc.saTests, tc.saBT, tc.saDigest)
 		}
 	}
 

@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gobd/internal/fault"
 	"gobd/internal/logic"
@@ -14,12 +15,21 @@ import (
 // strictly in list order, and the verdict committed for fault i depends
 // only on (circuit, faults[i], options) plus the tests committed at
 // indices before i — speculation runs ahead in parallel but its results
-// are discarded whenever an earlier commit drop-covers the fault. That
-// dependency structure makes any Results prefix a complete checkpoint:
-// re-seeding the fault-dropping state by regrading the prefix's tests
-// against the uncommitted tail reconstructs the loop state at the
-// boundary exactly, so a resumed run commits bit-identical Results,
-// Tests and Coverage to an uninterrupted one. The durable job runtime
+// are discarded whenever an earlier commit drop-covers the fault.
+//
+// Fault dropping is lazy. Every test the run commits goes onto one
+// per-run test grader (for OBD a PairGrader that packs the tests 64 per
+// word), and the loop records, per fault, how many committed tests the
+// fault has been checked against. A fault is checked against the tests
+// committed since its last check only when the loop is about to read its
+// state: to settle it, or to pick it for speculation. The same grader
+// then grades the final Coverage.
+//
+// That dependency structure makes any Results prefix a complete
+// checkpoint: the prefix's tests seed the grader of the resumed run and
+// its tail faults start unchecked, which is exactly the loop state at the
+// boundary, so a resumed run commits bit-identical Results, Tests and
+// Coverage to an uninterrupted one. The durable job runtime
 // (internal/jobs) leans on this to survive crashes mid-generation.
 //
 // The Resume entry points also serve as bounded-segment drivers: upto
@@ -41,11 +51,8 @@ type genModel[F fmt.Stringer, T any] struct {
 	// gen runs the model's generator for one fault on a pool worker; the
 	// test is meaningful only under Detected.
 	gen func(f F, pv *podemView) (T, Status)
-	// grader returns the first-detecting lookup over a test list: whether
-	// some test detects f, and the pair simulations that took.
-	grader func(tests []T) func(f F) (bool, int64)
-	// grade grades the final test set against the whole fault list.
-	grade func(ctx context.Context, c *logic.Circuit, faults []F, tests []T) (Coverage, error)
+	// tests returns the run's test grader, holding the prior's tests.
+	tests func(prior []T) testGrader[F, T]
 	// pair, when set, is the test a Detected Result carries. Models
 	// without it (stuck-at) keep their tests in the set only.
 	pair func(t T) *TwoPattern
@@ -113,10 +120,159 @@ func clampUpto(upto, start, n int) int {
 	return upto
 }
 
-// resumeTests is the generation driver: prefix check, fault-dropping
-// state regrade, untestability pruning, then the speculate/commit loop
-// with fault dropping, and the final grade once the whole list is
-// committed.
+// testGrader is a generation run's committed tests, in commit order, as
+// its fault-dropping and final-grade oracle. add runs only in the commit
+// loop, never while first runs on the pool.
+type testGrader[F, T any] interface {
+	// add appends a committed test.
+	add(t T)
+	// first returns the index of the first test at or after from that
+	// detects f, or -1. No test before from detects f.
+	first(f F, from int) int
+	// window is how many stale faults a pool of workers checks at once
+	// when rest faults are left to commit.
+	window(workers, rest int) int
+}
+
+// obdTests is the OBD run grader: one PairGrader that grows by a lane
+// per committed pair. It grades from the first block whatever from says;
+// the blocks before from hold no detecting lane, and a single worker
+// checks each fault once anyway. Since each check grades every block
+// again, a pool checks a window of workers × gradeGrain(rest, workers)
+// faults rather than every stale fault.
+type obdTests struct{ pg *PairGrader }
+
+func (g obdTests) add(tp TwoPattern)            { g.pg.Append(tp.V1, tp.V2) }
+func (g obdTests) first(f fault.OBD, _ int) int { return g.pg.FirstDetecting(f) }
+func (g obdTests) window(workers, rest int) int { return workers * gradeGrain(rest, workers) }
+
+// scanTests is the run grader of the scalar models: the committed list,
+// scanned in order with the model's Detects oracle. A check costs one
+// simulation per test it covers however the checks are batched, so a
+// pool checks every stale fault at once, which spreads the work as
+// evenly as checking every fault against each test when it is committed.
+// A smaller window leaves faults past it to be checked against many tests
+// in one piece, on one worker.
+type scanTests[F, T any] struct {
+	c       *logic.Circuit
+	detects func(*logic.Circuit, F, T) bool
+	tests   []T
+}
+
+func (g *scanTests[F, T]) add(t T)                { g.tests = append(g.tests, t) }
+func (g *scanTests[F, T]) window(_, rest int) int { return rest }
+
+func (g *scanTests[F, T]) first(f F, from int) int {
+	for ti := from; ti < len(g.tests); ti++ {
+		if g.detects(g.c, f, g.tests[ti]) {
+			return ti
+		}
+	}
+	return -1
+}
+
+// scanModel returns the tests hook of a scalar model.
+func scanModel[F, T any](c *logic.Circuit, detects func(*logic.Circuit, F, T) bool) func(prior []T) testGrader[F, T] {
+	return func(prior []T) testGrader[F, T] {
+		return &scanTests[F, T]{c: c, detects: detects, tests: slices.Clone(prior)}
+	}
+}
+
+// dropState is the commit loop's lazy fault dropping: covered[j] reports
+// whether one of the first checked[j] committed tests detects fault j.
+// A fault whose state is stale, neither covered nor checked against every
+// committed test, is brought up to date only when the loop reads it.
+// Without fault dropping nothing is ever checked or covered.
+type dropState[F, T any] struct {
+	s        *Scheduler
+	faults   []F
+	g        testGrader[F, T]
+	tests    int // tests on g
+	dropping bool
+	covered  []bool
+	checked  []int
+	win      []int // the faults of the current check
+	idxs     []int // the current speculation candidates
+	check    func(lo, hi int, ws *WorkerStats)
+}
+
+// newDropState returns the state of a run whose grader g holds the
+// prior's tests, every fault unchecked.
+func newDropState[F, T any](s *Scheduler, faults []F, g testGrader[F, T], tests int, dropping bool) *dropState[F, T] {
+	d := &dropState[F, T]{s: s, faults: faults, g: g, tests: tests, dropping: dropping,
+		covered: make([]bool, len(faults)), checked: make([]int, len(faults))}
+	d.check = func(lo, hi int, ws *WorkerStats) {
+		for _, k := range d.win[lo:hi] {
+			from := d.checked[k]
+			idx := d.g.first(d.faults[k], from)
+			d.covered[k], d.checked[k] = idx >= 0, d.tests
+			if idx >= 0 {
+				ws.Pairs += int64(idx - from + 1)
+			} else {
+				ws.Pairs += int64(d.tests - from)
+			}
+		}
+	}
+	return d
+}
+
+// add commits a test.
+func (d *dropState[F, T]) add(t T) {
+	d.g.add(t)
+	d.tests++
+}
+
+// stale reports whether fault j has not been checked against every
+// committed test and no test it was checked against detects it.
+func (d *dropState[F, T]) stale(j int) bool { return !d.covered[j] && d.checked[j] < d.tests }
+
+// settle brings fault j's state up to date in the commit loop at index
+// i. A stale fault is checked together with the stale faults after it:
+// one worker checks j alone, a pool checks the grader's window of the
+// stale faults from j on, sharded on the pool. Each check charges Pairs
+// the tests it covered. A cancelled check leaves every fault either
+// checked or untouched and returns ctx's error.
+func (d *dropState[F, T]) settle(ctx context.Context, i, j int) error {
+	if !d.dropping || !d.stale(j) {
+		return nil
+	}
+	w, size := d.s.WorkerCount(), 1
+	if w > 1 {
+		size = d.g.window(w, len(d.faults)-i)
+	}
+	d.win = d.win[:0]
+	for k := j; k < len(d.faults) && len(d.win) < size; k++ {
+		if d.stale(k) {
+			d.win = append(d.win, k)
+		}
+	}
+	return d.s.runCtx(ctx, len(d.win), gradeGrain(len(d.win), w), d.check)
+}
+
+// candidates returns the speculation candidates at commit index i: the
+// first up-to-batch faults at or after i that are not yet generated and
+// that no committed test detects, settling each on the way. The slice is
+// reused by the next call.
+func (d *dropState[F, T]) candidates(ctx context.Context, i, batch int, done []bool) ([]int, error) {
+	d.idxs = d.idxs[:0]
+	for j := i; j < len(d.faults) && len(d.idxs) < batch; j++ {
+		if done[j] {
+			continue
+		}
+		if err := d.settle(ctx, i, j); err != nil {
+			return nil, err
+		}
+		if !d.covered[j] {
+			d.idxs = append(d.idxs, j)
+		}
+	}
+	return d.idxs, nil
+}
+
+// resumeTests is the generation driver: prefix check, the run grader
+// seeded with the prior's tests, untestability pruning, then the
+// speculate/commit loop with lazy fault dropping, and the final grade on
+// the run grader once the whole list is committed.
 // The returned set is nil only when the circuit or the prior is
 // rejected; otherwise it holds every committed Result, also alongside a
 // cancellation error.
@@ -141,7 +297,7 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 	}
 	upto = clampUpto(upto, start, n)
 	pv := newPodemView(c, opt)
-	covered := make([]bool, n)
+	d := newDropState(s, faults, m.tests(ts.Tests), len(ts.Tests), opt.FaultDropping)
 	done := make([]bool, n)
 	specT := make([]T, n)
 	specSt := make([]Status, n)
@@ -150,30 +306,16 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 	if opt.BacktrackSink != nil {
 		batch = 1
 	}
-	// Re-seed the fault-dropping state for the uncommitted tail:
-	// covered[j] at commit time means "a test committed before index j
-	// detects fault j", and every committed test precedes every
-	// uncommitted index, so regrading the prefix's tests reconstructs
-	// the loop state at the boundary exactly.
-	if opt.FaultDropping && len(ts.Tests) > 0 && start < n {
-		first := m.grader(ts.Tests)
-		tail := n - start
-		err := s.runCtx(ctx, tail, gradeGrain(tail, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-			for k := lo; k < hi; k++ {
-				var pairs int64
-				covered[start+k], pairs = first(faults[start+k])
-				ws.Items++
-				ws.Pairs += pairs
-			}
+	gen := func(j int) {
+		specErr[j] = protect(func() error {
+			specT[j], specSt[j] = m.gen(faults[j], pv)
+			return nil
 		})
-		if err != nil {
-			return ts, err
-		}
 	}
 	if m.prune != nil {
 		// Untestability proofs settle tail faults before the generator
 		// sees them (committed indices already carry their verdicts),
-		// sharded as the regrade above; the PODEM view built the lazy
+		// sharded like a grade; the PODEM view built the lazy
 		// index, which is not safe to build from several workers at
 		// once. A shard that panics leaves its faults unpruned.
 		tail := n - start
@@ -199,18 +341,20 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 		if err := ctx.Err(); err != nil {
 			return ts, err
 		}
+		if err := d.settle(ctx, i, i); err != nil {
+			return ts, err
+		}
 		name := faults[i].String()
-		if covered[i] {
+		if d.covered[i] {
 			ts.Results = append(ts.Results, Result{Fault: name, Status: Detected})
 			continue
 		}
 		if !done[i] {
-			s.speculate(ctx, i, batch, covered, done, func(j int) {
-				specErr[j] = protect(func() error {
-					specT[j], specSt[j] = m.gen(faults[j], pv)
-					return nil
-				})
-			})
+			idxs, err := d.candidates(ctx, i, batch, done)
+			if err != nil {
+				return ts, err
+			}
+			s.speculate(ctx, idxs, done, gen)
 			if !done[i] { // speculation cut short by cancellation
 				return ts, ctx.Err()
 			}
@@ -229,63 +373,19 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 				res.Test = m.pair(t)
 			}
 			ts.Tests = append(ts.Tests, t)
-			if opt.FaultDropping {
-				drop(ctx, s, faults, covered, i, m.grader([]T{t}))
-			}
+			d.add(t)
 		}
 		ts.Results = append(ts.Results, res)
 	}
 	if upto < n {
 		return ts, ctx.Err()
 	}
-	cov, err := m.grade(ctx, c, faults, ts.Tests)
+	cov, err := gradeFirst(ctx, s, faults, len(ts.Tests), func(f F) int { return d.g.first(f, 0) }, F.String)
 	if err != nil {
 		return ts, err
 	}
 	ts.Coverage = cov
 	return ts, nil
-}
-
-// drop marks every fault at or after index from that a new test detects,
-// first being the model's grader over that one test, sharding the drop
-// simulation across the pool. A cancelled drop leaves covered partially
-// updated; the commit loops re-check ctx before the next item commits,
-// so the partial state is never read.
-func drop[F any](ctx context.Context, s *Scheduler, faults []F, covered []bool, from int, first func(F) (bool, int64)) {
-	m := len(faults) - from
-	_ = s.runCtx(ctx, m, gradeGrain(m, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for k := lo; k < hi; k++ {
-			if j := from + k; !covered[j] {
-				covered[j], _ = first(faults[j])
-			}
-			ws.Pairs++
-		}
-	})
-}
-
-// obdGrader is the OBD first-detecting grader: the event-driven engine
-// over the whole test list, charging every pair per fault.
-func obdGrader(c *logic.Circuit) func(tests []TwoPattern) func(fault.OBD) (bool, int64) {
-	return func(tests []TwoPattern) func(fault.OBD) (bool, int64) {
-		pg := NewPairGrader(c, tests)
-		return func(f fault.OBD) (bool, int64) { return pg.Detects(f), int64(len(tests)) }
-	}
-}
-
-// scanGrader is the first-detecting grader of the scalar models: the
-// tests are scanned in list order with the model's Detects oracle,
-// charging the tests scanned.
-func scanGrader[F, T any](c *logic.Circuit, detects func(*logic.Circuit, F, T) bool) func(tests []T) func(F) (bool, int64) {
-	return func(tests []T) func(F) (bool, int64) {
-		return func(f F) (bool, int64) {
-			for ti := range tests {
-				if detects(c, f, tests[ti]) {
-					return true, int64(ti + 1)
-				}
-			}
-			return false, int64(len(tests))
-		}
-	}
 }
 
 // pairRef is the Result test of the two-pattern models.
@@ -321,9 +421,10 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 		gen: func(f fault.OBD, pv *podemView) (TwoPattern, Status) {
 			return pairValue(generateOBDTestWith(c, f, opt, pv))
 		},
-		grader: obdGrader(c),
-		grade:  s.GradeOBDCtx,
-		pair:   pairRef,
+		tests: func(prior []TwoPattern) testGrader[fault.OBD, TwoPattern] {
+			return obdTests{NewPairGrader(c, prior)}
+		},
+		pair: pairRef,
 	}
 	if opt.Prune {
 		m.prune = func(fs []fault.OBD) []bool {
@@ -354,9 +455,8 @@ func (s *Scheduler) ResumeTransitionTestsCtx(ctx context.Context, c *logic.Circu
 		gen: func(f fault.Transition, pv *podemView) (TwoPattern, Status) {
 			return pairValue(generateTransitionTestWith(c, f, opt, pv))
 		},
-		grader: scanGrader(c, DetectsTransition),
-		grade:  s.GradeTransitionCtx,
-		pair:   pairRef,
+		tests: scanModel(c, DetectsTransition),
+		pair:  pairRef,
 	}
 	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[TwoPattern])(prior), upto)
 	return (*TestSet)(ts), err
@@ -375,8 +475,7 @@ func (s *Scheduler) ResumeStuckAtTestsCtx(ctx context.Context, c *logic.Circuit,
 		gen: func(f fault.StuckAt, pv *podemView) (Pattern, Status) {
 			return generateStuckAtTestWith(c, f, opt, pv)
 		},
-		grader: scanGrader(c, DetectsStuckAt),
-		grade:  s.GradeStuckAtCtx,
+		tests: scanModel(c, DetectsStuckAt),
 	}
 	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[Pattern])(prior), upto)
 	return (*StuckAtTestSet)(ts), err

@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -200,5 +201,78 @@ func TestResumeMismatchRejected(t *testing.T) {
 	}
 	if _, err := s.ResumeOBDTestsCtx(context.Background(), c, faults, nil, extraTests, -1); !errors.As(err, &rme) {
 		t.Fatalf("inconsistent test count: %v, want *ResumeMismatchError", err)
+	}
+}
+
+// checkDropOracle checks a generation run's commit decisions against a
+// scalar oracle: a Detected Result without its own test is detected by a
+// test committed before it, and no other Result's fault is, so in
+// particular no generated test's fault is detected by an earlier test.
+// The committed tests are exactly the Results' tests, in order.
+func checkDropOracle[F any](t *testing.T, tag string, c *logic.Circuit, faults []F, ts *TestSet, detects func(*logic.Circuit, F, TwoPattern) bool) {
+	t.Helper()
+	if len(ts.Results) != len(faults) {
+		t.Fatalf("%s: %d results for %d faults", tag, len(ts.Results), len(faults))
+	}
+	var earlier []TwoPattern
+	for i, r := range ts.Results {
+		hit := -1
+		for k, tp := range earlier {
+			if detects(c, faults[i], tp) {
+				hit = k
+				break
+			}
+		}
+		if dropped := r.Status == Detected && r.Test == nil; dropped != (hit >= 0) {
+			t.Fatalf("%s: result %d (%s, %v, test %v) but the first earlier test detecting it is %d of %d",
+				tag, i, r.Fault, r.Status, r.Test != nil, hit, len(earlier))
+		}
+		if r.Test != nil {
+			earlier = append(earlier, *r.Test)
+		}
+	}
+	if !reflect.DeepEqual(earlier, ts.Tests) {
+		t.Fatalf("%s: %d committed tests, %d tests carried by the Results", tag, len(ts.Tests), len(earlier))
+	}
+}
+
+// TestFaultDroppingMatchesScalarOracle pins lazy fault dropping to the
+// scalar DetectsOBD and DetectsTransition over seeded random circuits
+// and c432 (in a seeded fault order), for the two models whose Results
+// carry their tests. The one-worker run is checked against the oracle,
+// and a pool of three, whose dropping checks run in windows, must commit
+// the same set. Transition lists stop at 160 faults: c432's scalar
+// transition grading is slow.
+func TestFaultDroppingMatchesScalarOracle(t *testing.T) {
+	type circuit struct {
+		name string
+		c    *logic.Circuit
+	}
+	var circuits []circuit
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 3 + rng.Intn(6), Gates: 10 + rng.Intn(40), Primitive: seed%2 == 0})
+		circuits = append(circuits, circuit{fmt.Sprintf("random seed %d", seed), c})
+	}
+	circuits = append(circuits, circuit{"c432", loadC432(t)})
+	for _, cc := range circuits {
+		rng := rand.New(rand.NewSource(1))
+		obd, _ := fault.OBDUniverse(cc.c)
+		rng.Shuffle(len(obd), func(i, j int) { obd[i], obd[j] = obd[j], obd[i] })
+		tr := fault.TransitionUniverse(cc.c)
+		rng.Shuffle(len(tr), func(i, j int) { tr[i], tr[j] = tr[j], tr[i] })
+		tr = tr[:min(len(tr), 160)]
+		one, pool := NewScheduler(1), NewScheduler(3)
+		want := must(one.GenerateOBDTests(cc.c, obd, nil))
+		checkDropOracle(t, cc.name+" OBD", cc.c, obd, want, DetectsOBD)
+		if got := must(pool.GenerateOBDTests(cc.c, obd, nil)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s OBD: 3 workers committed a different set than 1", cc.name)
+		}
+		want = must(one.GenerateTransitionTests(cc.c, tr, nil))
+		checkDropOracle(t, cc.name+" transition", cc.c, tr, want, DetectsTransition)
+		if got := must(pool.GenerateTransitionTests(cc.c, tr, nil)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s transition: 3 workers committed a different set than 1", cc.name)
+		}
 	}
 }

@@ -308,24 +308,33 @@ func (s *Scheduler) GradeOBDCtx(ctx context.Context, c *logic.Circuit, faults []
 	if len(faults) == 0 {
 		return Coverage{Total: 0}, nil
 	}
-	pg := NewPairGrader(c, tests)
+	return gradeFirst(ctx, s, faults, len(tests), NewPairGrader(c, tests).FirstDetecting, fault.OBD.String)
+}
+
+// gradeFirst is the sharded grade loop behind every grader: fault i is
+// detected when first returns the index of a detecting test among the n
+// graded, -1 otherwise. Each fault writes only its own verdict slot, so
+// the Coverage is the same for any worker count; Pairs counts the tests
+// up to each fault's first detecting one. A cancelled grade reports no
+// Coverage.
+func gradeFirst[F any](ctx context.Context, s *Scheduler, faults []F, n int, first func(F) int, name func(F) string) (Coverage, error) {
 	det := make([]bool, len(faults))
 	err := s.runCtx(ctx, len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
 		for i := lo; i < hi; i++ {
-			idx := pg.FirstDetecting(faults[i])
+			idx := first(faults[i])
 			det[i] = idx >= 0
 			ws.Items++
 			if det[i] {
 				ws.Pairs += int64(idx + 1)
 			} else {
-				ws.Pairs += int64(len(tests))
+				ws.Pairs += int64(n)
 			}
 		}
 	})
 	if err != nil {
 		return Coverage{}, err
 	}
-	return mergeCoverage(det, func(i int) string { return faults[i].String() }), nil
+	return mergeCoverage(det, func(i int) string { return name(faults[i]) }), nil
 }
 
 // GradeTransition fault-simulates a test set against transition faults,
@@ -374,20 +383,8 @@ func scanGradeCtx[F, T any](ctx context.Context, s *Scheduler, c *logic.Circuit,
 	if len(faults) == 0 {
 		return Coverage{Total: 0}, nil
 	}
-	first := scanGrader(c, detects)(tests)
-	det := make([]bool, len(faults))
-	err := s.runCtx(ctx, len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
-		for i := lo; i < hi; i++ {
-			var pairs int64
-			det[i], pairs = first(faults[i])
-			ws.Items++
-			ws.Pairs += pairs
-		}
-	})
-	if err != nil {
-		return Coverage{}, err
-	}
-	return mergeCoverage(det, func(i int) string { return name(faults[i]) }), nil
+	g := &scanTests[F, T]{c: c, detects: detects, tests: tests}
+	return gradeFirst(ctx, s, faults, len(tests), func(f F) int { return g.first(f, 0) }, name)
 }
 
 // DetectionCounts returns, per fault, how many pairs of the test set
@@ -484,17 +481,11 @@ func (s *Scheduler) AnalyzeExhaustive(c *logic.Circuit, faults []fault.OBD) (*Ex
 	return a, nil
 }
 
-// speculate fills the generation slots of the first up-to-batch uncovered,
-// not-yet-generated faults at or after index i, farming the work out to
-// the pool. gen(j) must write only slot j. Cancelling ctx stops the
-// speculation early; slots whose chunks never ran keep done[j] == false.
-func (s *Scheduler) speculate(ctx context.Context, i, batch int, covered, done []bool, gen func(j int)) {
-	idxs := make([]int, 0, batch)
-	for j := i; j < len(covered) && len(idxs) < batch; j++ {
-		if !covered[j] && !done[j] {
-			idxs = append(idxs, j)
-		}
-	}
+// speculate fills the generation slots of the faults idxs, farming the
+// work out to the pool. gen(j) must write only slot j. Cancelling ctx
+// stops the speculation early; slots whose chunks never ran keep
+// done[j] == false.
+func (s *Scheduler) speculate(ctx context.Context, idxs []int, done []bool, gen func(j int)) {
 	s.runCtx(ctx, len(idxs), 1, func(lo, hi int, ws *WorkerStats) { //nolint:errcheck // commit loop re-checks ctx
 		for k := lo; k < hi; k++ {
 			gen(idxs[k])

@@ -64,6 +64,10 @@ func TestForEachCtxPanicConfined(t *testing.T) {
 
 // TestForEachCtxCancelPrefix: a cancelled run stops promptly and the
 // completed slots form a prefix bit-identical to the uncancelled run.
+// Items past 50 wait for the cancellation before they write, so no
+// worker can finish the run ahead of the item-50 worker. The chunk
+// holding item 50 is claimed before any chunk of later items, so the
+// wait cannot deadlock.
 func TestForEachCtxCancelPrefix(t *testing.T) {
 	const n = 200
 	want := make([]int, n)
@@ -77,6 +81,9 @@ func TestForEachCtxCancelPrefix(t *testing.T) {
 		rep := s.ForEachCtx(ctx, n, func(i int) error {
 			if i == 50 {
 				cancel()
+			}
+			if i > 50 {
+				<-ctx.Done()
 			}
 			got[i] = i * i
 			return nil

@@ -27,9 +27,12 @@ func (p Pattern) Clone() Pattern {
 }
 
 // Filled returns a copy with every missing/X input of the circuit set to
-// fill.
+// fill. The copy is sized for the circuit's inputs up front.
 func (p Pattern) Filled(c *logic.Circuit, fill logic.Value) Pattern {
-	q := p.Clone()
+	q := make(Pattern, max(len(p), len(c.Inputs)))
+	for k, v := range p {
+		q[k] = v
+	}
 	for _, in := range c.Inputs {
 		if v, ok := q[in]; !ok || v == logic.X {
 			q[in] = fill

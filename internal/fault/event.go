@@ -15,7 +15,8 @@ import (
 //
 //   - precomputes both good-machine frames once per 64-pair block over
 //     the circuit's dense-ID levelization index (logic.Index), storing
-//     words in net-ID-indexed arrays instead of string-keyed maps;
+//     words in net-ID-indexed arrays instead of string-keyed maps (a
+//     grader that grows by Append re-evaluates only its last block);
 //   - per fault, decides excitation on the site gate's own words by gate
 //     evaluation (OBD.ExcitedBits), so a grader holds no transistor
 //     networks and constructing one allocates only its blocks;
@@ -48,23 +49,31 @@ import (
 type PairSource func(i int) (v1, v2 map[string]logic.Value)
 
 // PairGrader grades OBD faults against a packed two-pattern test set with
-// the levelized event-driven engine. It is immutable after construction
-// and safe for concurrent use by a scheduler's workers. Faults on gates
-// that are not part of the circuit (synthetic gates used by local
-// analyses) are graded pair by pair with the scalar simulation.
+// the levelized event-driven engine. Grading is safe for concurrent use
+// by a scheduler's workers. Append and Reset change the set, so a grader
+// must not be graded from another goroutine while it is appended to or
+// reset. Faults on gates that are not part of the circuit (synthetic
+// gates used by local analyses) are graded pair by pair with the scalar
+// simulation, over the constructor's pairs and the appended ones alike.
 type PairGrader struct {
-	c   *logic.Circuit
-	idx *logic.Index
-	n   int        // pairs graded
-	src PairSource // materializes pair i for the scalar fallback
+	c     *logic.Circuit
+	idx   *logic.Index
+	n     int        // pairs graded
+	src   PairSource // materializes pair i < nsrc for the scalar fallback
+	nsrc  int
+	added []mapPair // appended pairs: pair nsrc+k is added[k]
 
 	blocks   []eventBlock
 	complete bool // every block complete: enables single-rail math
 }
 
+// mapPair is one appended pair, kept for the scalar fallback.
+type mapPair struct{ v1, v2 map[string]logic.Value }
+
 // eventBlock holds the good-machine frames of up to 64 vector pairs,
-// dense-ID indexed. For complete blocks the known rails are nil: every
-// in-range lane is known, so only the value words are carried.
+// dense-ID indexed. Complete blocks carry only the value words: every
+// in-range lane is known, so their known rails are never read (nil, or
+// buffers a reset grader keeps for reuse).
 type eventBlock struct {
 	n        int
 	complete bool
@@ -139,24 +148,106 @@ func (sc *eventScratch) begin() {
 // newGrader is the setup both constructors share: the circuit's index.
 // The caller appends the blocks.
 func newGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
-	return &PairGrader{c: c, idx: c.Index(), n: n, src: src, complete: true}
+	return &PairGrader{c: c, idx: c.Index(), n: n, src: src, nsrc: n, complete: true}
 }
 
 // NewPairGrader packs the n pairs of src into 64-wide blocks over the
 // circuit's levelization index and evaluates both good-machine frames per
 // block. The circuit must validate (grading entry points check first).
+// Pass n = 0 for an empty grader that Append fills.
 func NewPairGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
 	pg := newGrader(c, n, src)
+	nv := pg.idx.NumNets()
 	for start := 0; start < n; start += 64 {
-		end := start + 64
-		if end > n {
-			end = n
+		// The block packs with known rails until every lane is seen.
+		b := eventBlock{n: min(64, n-start)}
+		b.g1v, b.g1k = make([]uint64, nv), make([]uint64, nv)
+		b.g2v, b.g2k = make([]uint64, nv), make([]uint64, nv)
+		complete := true
+		for k := 0; k < b.n; k++ {
+			v1, v2 := src(start + k)
+			complete = packLane(pg.idx, &b, k, v1, v2) && complete
 		}
-		b := packEventBlock(pg.idx, start, end, src)
+		b.complete = complete
+		if complete {
+			b.g1k, b.g2k = nil, nil
+		}
+		b.eval(pg.idx)
 		pg.complete = pg.complete && b.complete
 		pg.blocks = append(pg.blocks, b)
 	}
 	return pg
+}
+
+// Append adds (v1, v2) to the set as its last pair: it packs one more
+// lane into the last block, or opens a new block, and re-evaluates that
+// block's two good frames. Graded verdicts then equal those of a grader
+// constructed over the whole list. An input missing from a map, or mapped
+// to X, is unknown in that frame; the maps must not change afterwards.
+// Append must not run concurrently with grading.
+func (pg *PairGrader) Append(v1, v2 map[string]logic.Value) {
+	x := pg.idx
+	if len(pg.blocks) == 0 || pg.blocks[len(pg.blocks)-1].n == 64 {
+		pg.openBlock()
+	}
+	b := &pg.blocks[len(pg.blocks)-1]
+	if !packLane(x, b, b.n, v1, v2) && b.complete {
+		// The block's first lane with an unknown input: give it known
+		// rails, every earlier lane known, and pack the lane again.
+		nv := x.NumNets()
+		b.complete, pg.complete = false, false
+		b.g1k, b.g2k = words(b.g1k, nv), words(b.g2k, nv)
+		full := laneMask(b.n)
+		for _, id := range x.InputIDs {
+			b.g1k[id], b.g2k[id] = full, full
+		}
+		packLane(x, b, b.n, v1, v2)
+	}
+	b.n++
+	pg.n++
+	pg.added = append(pg.added, mapPair{v1, v2})
+	b.eval(x)
+}
+
+// Reset empties the set and keeps the grader's buffers, so the pairs
+// appended next reuse the words of the blocks before. Reset must not run
+// concurrently with grading.
+func (pg *PairGrader) Reset() {
+	pg.n, pg.nsrc, pg.src, pg.complete = 0, 0, nil, true
+	clear(pg.added)
+	pg.added = pg.added[:0]
+	pg.blocks = pg.blocks[:0]
+}
+
+// openBlock starts an empty complete block after the last one, on the
+// words of a block held before a Reset where there is one.
+func (pg *PairGrader) openBlock() {
+	if len(pg.blocks) < cap(pg.blocks) {
+		pg.blocks = pg.blocks[:len(pg.blocks)+1]
+	} else {
+		pg.blocks = append(pg.blocks, eventBlock{})
+	}
+	b := &pg.blocks[len(pg.blocks)-1]
+	nv := pg.idx.NumNets()
+	b.n, b.complete = 0, true
+	b.g1v, b.g2v = words(b.g1v, nv), words(b.g2v, nv)
+}
+
+// words returns buf resliced to n words, or a new slice when buf is too
+// small. The contents are not cleared.
+func words(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// pair materializes pair i, for the scalar fallback.
+func (pg *PairGrader) pair(i int) (v1, v2 map[string]logic.Value) {
+	if k := i - pg.nsrc; k >= 0 {
+		return pg.added[k].v1, pg.added[k].v2
+	}
+	return pg.src(i)
 }
 
 // NewPairGraderWords builds a grader over n complete vector pairs supplied
@@ -194,7 +285,7 @@ func NewPairGraderWords(c *logic.Circuit, n int, frame1 func(b int, g1 []uint64)
 // detectsScalar grades pair i against f with the scalar gross-delay
 // simulation, the path for faults on gates outside the index.
 func (pg *PairGrader) detectsScalar(f OBD, i int) bool {
-	v1, v2 := pg.src(i)
+	v1, v2 := pg.pair(i)
 	good, faulty, excited := Respond(pg.c, v1, v2, f)
 	return excited && Detects(good, faulty, pg.c.Outputs...)
 }
@@ -208,7 +299,7 @@ func (pg *PairGrader) LocalPair(f OBD, i int) Pair {
 	p := Pair{V1: make([]logic.Value, n), V2: make([]logic.Value, n)}
 	gp := pg.idx.GatePos(f.Gate)
 	if gp < 0 {
-		v1, v2 := pg.src(i)
+		v1, v2 := pg.pair(i)
 		g1, g2 := pg.c.Eval(v1, nil), pg.c.Eval(v2, nil)
 		for k, in := range f.Gate.Inputs {
 			p.V1[k], p.V2[k] = g1[in], g2[in]
@@ -217,7 +308,7 @@ func (pg *PairGrader) LocalPair(f OBD, i int) Pair {
 	}
 	b, bit := &pg.blocks[i/64], uint64(1)<<uint(i%64)
 	lane := func(val, known []uint64, id int32) logic.Value {
-		if known != nil && known[id]&bit == 0 {
+		if !b.complete && known[id]&bit == 0 {
 			return logic.X
 		}
 		return logic.FromBool(val[id]&bit != 0)
@@ -233,51 +324,56 @@ func (pg *PairGrader) LocalPair(f OBD, i int) Pair {
 // fault collapsing (equivalence arguments break under X lanes).
 func (pg *PairGrader) Complete() bool { return pg.complete }
 
-// packEventBlock packs pairs [start, end) of src, at most 64, into
-// dense-ID words and evaluates
-// the good frames. Complete blocks are evaluated single-rail so their
-// beyond-n lanes follow the two-valued semantics of EvalBits; detection
-// masks are laneMask-clipped before use, so those lanes never surface.
-func packEventBlock(x *logic.Index, start, end int, src PairSource) eventBlock {
-	b := eventBlock{n: end - start, complete: true}
-	nv := x.NumNets()
-	b.g1v, b.g1k = make([]uint64, nv), make([]uint64, nv)
-	b.g2v, b.g2k = make([]uint64, nv), make([]uint64, nv)
-	full := laneMask(b.n)
-	for k := 0; k < b.n; k++ {
-		bit := uint64(1) << uint(k)
-		v1, v2 := src(start + k)
-		for _, id := range x.InputIDs {
-			name := x.NetNames[id]
-			if v, ok := v1[name]; ok && v.IsKnown() {
-				b.g1k[id] |= bit
-				if v == logic.One {
-					b.g1v[id] |= bit
-				}
-			}
-			if v, ok := v2[name]; ok && v.IsKnown() {
-				b.g2k[id] |= bit
-				if v == logic.One {
-					b.g2v[id] |= bit
-				}
-			}
-		}
+// packLane writes pair (v1, v2) into lane k of b's input words: the value
+// bits, and the known bits when b is not complete. It reports whether
+// both patterns assign every input a known value. Lanes at and past b.n
+// are never read, so a complete block's unused lanes may hold anything.
+func packLane(x *logic.Index, b *eventBlock, k int, v1, v2 map[string]logic.Value) bool {
+	bit := uint64(1) << uint(k)
+	k1, k2 := b.g1k, b.g2k
+	if b.complete {
+		k1, k2 = nil, nil
 	}
+	complete := true
 	for _, id := range x.InputIDs {
-		if b.g1k[id]&full != full || b.g2k[id]&full != full {
-			b.complete = false
-			break
+		name := x.NetNames[id]
+		complete = setLane(b.g1v, k1, id, bit, v1, name) && complete
+		complete = setLane(b.g2v, k2, id, bit, v2, name) && complete
+	}
+	return complete
+}
+
+// setLane writes one input's lane bit of one frame, and its known bit
+// when known is not nil. It reports whether the pattern assigns the
+// input a known value.
+func setLane(val, known []uint64, id int32, bit uint64, p map[string]logic.Value, name string) bool {
+	v, ok := p[name]
+	ok = ok && v.IsKnown()
+	val[id] &^= bit
+	if ok && v == logic.One {
+		val[id] |= bit
+	}
+	if known != nil {
+		known[id] &^= bit
+		if ok {
+			known[id] |= bit
 		}
 	}
+	return ok
+}
+
+// eval evaluates both good frames of b from its input words. Complete
+// blocks are evaluated single-rail, so their lanes at and past b.n follow
+// the two-valued semantics of EvalBits; detection masks are
+// laneMask-clipped before use, so those lanes never surface.
+func (b *eventBlock) eval(x *logic.Index) {
 	if b.complete {
 		forwardEval2(x, b.g1v)
 		forwardEval2(x, b.g2v)
-		b.g1k, b.g2k = nil, nil
 	} else {
 		forwardEval3(x, b.g1v, b.g1k)
 		forwardEval3(x, b.g2v, b.g2k)
 	}
-	return b
 }
 
 // forwardEval2 completes a two-valued evaluation in place: val holds the

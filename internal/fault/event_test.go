@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -188,5 +189,105 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("detectMaskEvent allocated %v times per full-universe grade, want 0", allocs)
+	}
+}
+
+// sameGrades fails unless two graders over the same n pairs agree on
+// Complete and, for every fault, on FirstDetecting, CountDetecting and
+// LocalPair (every lane for the circuit's own gates, a sample of lanes
+// for foreign ones, whose LocalPair simulates the pair).
+func sameGrades(t *testing.T, tag string, want, got *PairGrader, n int, faults []OBD) {
+	t.Helper()
+	if got.Complete() != want.Complete() {
+		t.Fatalf("%s: Complete() = %v, want %v", tag, got.Complete(), want.Complete())
+	}
+	for _, f := range faults {
+		if a, b := got.FirstDetecting(f), want.FirstDetecting(f); a != b {
+			t.Fatalf("%s fault %v: FirstDetecting %d, want %d", tag, f, a, b)
+		}
+		if a, b := got.CountDetecting(f), want.CountDetecting(f); a != b {
+			t.Fatalf("%s fault %v: CountDetecting %d, want %d", tag, f, a, b)
+		}
+		native := want.idx.GatePos(f.Gate) >= 0
+		for i := 0; i < n; i++ {
+			if !native && i%16 != 0 && i != n-1 {
+				continue
+			}
+			if a, b := got.LocalPair(f, i), want.LocalPair(f, i); !a.Equal(b) {
+				t.Fatalf("%s fault %v pair %d: LocalPair %v, want %v", tag, f, i, a, b)
+			}
+		}
+	}
+}
+
+// TestAppendMatchesConstructor: a grader grown pair by pair grades
+// exactly as one constructed over the same list, at 1, 63, 64, 65 and
+// 129 pairs (one lane, a block boundary either side, a third block), for
+// faults on the circuit's gates and on foreign copies of some of them. The sets are
+// complete, partial with X lanes, or complete up to a last X-bearing
+// lane, which turns a complete block partial. The grown grader is one
+// grader Reset between sets, so stale words of an earlier set must not
+// leak; a grader constructed over a prefix and appended the rest, as a
+// resumed generation run seeds its grader, agrees too.
+func TestAppendMatchesConstructor(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := logic.RandomCircuit(rng, logic.RandomOptions{
+			Inputs: 2 + rng.Intn(5), Gates: 2 + rng.Intn(14), Primitive: seed%2 == 0})
+		own, _ := OBDUniverse(c)
+		faults := append([]OBD(nil), own...)
+		for i := 0; i < len(own); i += 4 {
+			g := *own[i].Gate
+			foreign := own[i]
+			foreign.Gate = &g
+			faults = append(faults, foreign)
+		}
+		grown := NewPairGrader(c, 0, nil)
+		for _, n := range []int{1, 63, 64, 65, 129} {
+			for _, shape := range []string{"complete", "partial", "last-x"} {
+				tests := randomPairs(rng, c, n, shape != "partial")
+				if shape == "last-x" {
+					last := &tests[n-1]
+					v2 := make(map[string]logic.Value, len(last.v2))
+					for k, v := range last.v2 {
+						v2[k] = v
+					}
+					v2[c.Inputs[0]] = logic.X
+					last.v2 = v2
+				}
+				tag := fmt.Sprintf("seed %d n=%d %s", seed, n, shape)
+				want := graderOf(c, tests)
+				grown.Reset()
+				for _, tp := range tests {
+					grown.Append(tp.v1, tp.v2)
+				}
+				sameGrades(t, tag+" appended", want, grown, n, faults)
+				h := n / 2
+				seeded := graderOf(c, tests[:h])
+				for _, tp := range tests[h:] {
+					seeded.Append(tp.v1, tp.v2)
+				}
+				sameGrades(t, tag+" seeded", want, seeded, n, faults)
+			}
+		}
+	}
+}
+
+// TestResetAppendZeroAlloc: once warm, emptying a grader and appending
+// one complete pair, the cycle of PODEM's pooled validation grader,
+// allocates nothing.
+func TestResetAppendZeroAlloc(t *testing.T) {
+	c := logic.C17()
+	tests := randomPairs(rand.New(rand.NewSource(3)), c, 2, true)
+	pg := NewPairGrader(c, 0, nil)
+	pg.Append(tests[0].v1, tests[0].v2)
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		k ^= 1
+		pg.Reset()
+		pg.Append(tests[k].v1, tests[k].v2)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset and Append allocated %v times per pair, want 0", allocs)
 	}
 }

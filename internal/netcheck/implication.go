@@ -2,6 +2,7 @@ package netcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"gobd/internal/logic"
 )
@@ -161,17 +162,24 @@ func (e *engine) propagateFrom(net string) bool {
 }
 
 // distinctInputs returns the gate's input nets with duplicates removed,
-// preserving pin order (tied nets appear once).
+// preserving pin order (tied nets appear once). A gate whose inputs are
+// already distinct, the common case, gets g.Inputs itself back, so the
+// result is read-only. Gates are narrow, so duplicates are found by a
+// linear scan rather than a set.
 func distinctInputs(g *logic.Gate) []string {
-	out := make([]string, 0, len(g.Inputs))
-	seen := make(map[string]bool, len(g.Inputs))
-	for _, in := range g.Inputs {
-		if !seen[in] {
-			seen[in] = true
-			out = append(out, in)
+	for i, in := range g.Inputs {
+		if !slices.Contains(g.Inputs[:i], in) {
+			continue
 		}
+		out := slices.Clone(g.Inputs[:i])
+		for _, in := range g.Inputs[i+1:] {
+			if !slices.Contains(out, in) {
+				out = append(out, in)
+			}
+		}
+		return out
 	}
-	return out
+	return g.Inputs
 }
 
 // implyGate runs local consistency on one gate. It returns the nets whose
