@@ -25,20 +25,20 @@ func GenerateStuckAtTest(c *logic.Circuit, f fault.StuckAt, opt *Options) (Patte
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	return generateStuckAtTestWith(c, f, opt, newPodemView(c, opt))
+	return generateStuckAtTestWith(f, opt, newPodemView(c, opt))
 }
 
 // generateStuckAtTestWith is GenerateStuckAtTest over a prebuilt PODEM
 // view, so batch drivers share one index view and testability analysis
 // across faults (and workers).
-func generateStuckAtTestWith(c *logic.Circuit, f fault.StuckAt, opt *Options, pv *podemView) (Pattern, Status) {
+func generateStuckAtTestWith(f fault.StuckAt, opt *Options, pv *podemView) (Pattern, Status) {
 	e := newPodem(pv, []netReq{{net: f.Net, val: f.V.Not()}}, f.Net, f.V, true, opt.MaxBacktracks)
 	p, st := e.run()
 	drain(opt, e)
 	if st != Detected {
 		return nil, st
 	}
-	return p.Filled(c, logic.Zero), Detected
+	return p, Detected
 }
 
 // GenerateTransitionTest produces a two-pattern test for a classical
@@ -53,12 +53,12 @@ func GenerateTransitionTest(c *logic.Circuit, f fault.Transition, opt *Options) 
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	return generateTransitionTestWith(c, f, opt, newPodemView(c, opt))
+	return generateTransitionTestWith(f, opt, newPodemView(c, opt))
 }
 
 // generateTransitionTestWith is GenerateTransitionTest over a prebuilt
 // PODEM view.
-func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Options, pv *podemView) (*TwoPattern, Status) {
+func generateTransitionTestWith(f fault.Transition, opt *Options, pv *podemView) (*TwoPattern, Status) {
 	var from, to logic.Value
 	if f.Rising {
 		from, to = logic.Zero, logic.One
@@ -77,7 +77,7 @@ func generateTransitionTestWith(c *logic.Circuit, f fault.Transition, opt *Optio
 	if st1 != Detected {
 		return nil, st1
 	}
-	return &TwoPattern{V1: v1.Filled(c, logic.Zero), V2: v2.Filled(c, logic.Zero)}, Detected
+	return &TwoPattern{V1: v1, V2: v2}, Detected
 }
 
 // GenerateOBDTest produces a two-pattern test for an OBD fault by
@@ -98,7 +98,7 @@ func GenerateOBDTest(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, 
 			return nil, Untestable
 		}
 	}
-	tp, st := generateOBDTestWith(c, f, opt, newPodemView(c, opt))
+	tp, st := generateOBDTestWith(f, opt, newPodemView(c, opt))
 	if st == Aborted && opt.SATFallback {
 		return satResolveOBD(c, f, opt)
 	}
@@ -125,7 +125,7 @@ next:
 }
 
 // generateOBDTestWith is GenerateOBDTest over a prebuilt PODEM view.
-func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemView) (*TwoPattern, Status) {
+func generateOBDTestWith(f fault.OBD, opt *Options, pv *podemView) (*TwoPattern, Status) {
 	pairs := f.ExcitationPairs()
 	if len(pairs) == 0 {
 		return nil, Untestable
@@ -162,7 +162,7 @@ func generateOBDTestWith(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemV
 		if st1 != Detected {
 			continue
 		}
-		tp := &TwoPattern{V1: v1.Filled(c, logic.Zero), V2: v2.Filled(c, logic.Zero)}
+		tp := &TwoPattern{V1: v1, V2: v2}
 		if pv.validates(f, tp) {
 			return tp, Detected
 		}

@@ -174,8 +174,8 @@ func (v *podemView) netID(net string) int32 {
 	return int32(v.x.NumNets())
 }
 
-// run executes the search. On success the returned pattern is the partial
-// PI assignment (unmentioned inputs are don't-care).
+// run executes the search. On success the returned pattern assigns every
+// primary input: the search's decisions, and Zero for its don't-cares.
 func (e *podemEngine) run() (Pattern, Status) {
 	if e.propagate && int(e.site) == e.v.x.NumNets() {
 		// No net to fault: the faulty machine is the good one.
@@ -364,15 +364,18 @@ func (v *podemView) validates(f fault.OBD, tp *TwoPattern) bool {
 	return ok
 }
 
-// pattern is the current primary-input assignment as a Pattern: the
-// search's one map write, made once it succeeds.
+// pattern is the current primary-input assignment as a Pattern, every
+// input the search left undecided filled with Zero: the search's one map
+// write, made once it succeeds.
 func (e *podemEngine) pattern() Pattern {
 	x := e.v.x
 	p := make(Pattern, len(x.InputIDs))
 	for _, id := range x.InputIDs {
-		if v := e.sc.good[id]; v.IsKnown() {
-			p[x.NetNames[id]] = v
+		v := e.sc.good[id]
+		if !v.IsKnown() {
+			v = logic.Zero
 		}
+		p[x.NetNames[id]] = v
 	}
 	return p
 }

@@ -419,7 +419,7 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 	}
 	m := genModel[fault.OBD, TwoPattern]{
 		gen: func(f fault.OBD, pv *podemView) (TwoPattern, Status) {
-			return pairValue(generateOBDTestWith(c, f, opt, pv))
+			return pairValue(generateOBDTestWith(f, opt, pv))
 		},
 		tests: func(prior []TwoPattern) testGrader[fault.OBD, TwoPattern] {
 			return obdTests{NewPairGrader(c, prior)}
@@ -453,7 +453,7 @@ func (s *Scheduler) ResumeTransitionTestsCtx(ctx context.Context, c *logic.Circu
 	}
 	m := genModel[fault.Transition, TwoPattern]{
 		gen: func(f fault.Transition, pv *podemView) (TwoPattern, Status) {
-			return pairValue(generateTransitionTestWith(c, f, opt, pv))
+			return pairValue(generateTransitionTestWith(f, opt, pv))
 		},
 		tests: scanModel(c, DetectsTransition),
 		pair:  pairRef,
@@ -473,7 +473,7 @@ func (s *Scheduler) ResumeStuckAtTestsCtx(ctx context.Context, c *logic.Circuit,
 	}
 	m := genModel[fault.StuckAt, Pattern]{
 		gen: func(f fault.StuckAt, pv *podemView) (Pattern, Status) {
-			return generateStuckAtTestWith(c, f, opt, pv)
+			return generateStuckAtTestWith(f, opt, pv)
 		},
 		tests: scanModel(c, DetectsStuckAt),
 	}

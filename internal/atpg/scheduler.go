@@ -136,6 +136,11 @@ func (s *Scheduler) run(n, grain int, fn func(lo, hi int, ws *WorkerStats)) {
 	s.runCtx(context.Background(), n, grain, fn) //nolint:errcheck // Background is never cancelled
 }
 
+// statsPool holds the one-worker path's WorkerStats: fn may keep the
+// pointer it is handed, so a stats value local to runCtx would move to
+// the heap on every call.
+var statsPool = sync.Pool{New: func() any { return new(WorkerStats) }}
+
 // runCtx is run with cooperative cancellation: workers stop pulling new
 // chunks once ctx is done (a chunk in flight still completes, so every
 // slot is either fully written or untouched). It returns ctx's error when
@@ -153,10 +158,12 @@ func (s *Scheduler) runCtx(ctx context.Context, n, chunk int, fn func(lo, hi int
 		chunk = 1
 	}
 	if w <= 1 {
-		var ws WorkerStats
+		ws := statsPool.Get().(*WorkerStats)
+		defer statsPool.Put(ws)
+		*ws = WorkerStats{}
 		start := time.Now() //obdcheck:allow timenow — Busy is a stats counter, never a result
 		if done == nil {
-			fn(0, n, &ws)
+			fn(0, n, ws)
 		} else {
 			for lo := 0; lo < n; lo += chunk {
 				if ctx.Err() != nil {
@@ -166,11 +173,11 @@ func (s *Scheduler) runCtx(ctx context.Context, n, chunk int, fn func(lo, hi int
 				if hi > n {
 					hi = n
 				}
-				fn(lo, hi, &ws)
+				fn(lo, hi, ws)
 			}
 		}
 		ws.Busy += time.Since(start)
-		s.record(0, ws)
+		s.record(0, *ws)
 		return ctx.Err()
 	}
 	var next int64

@@ -3,6 +3,7 @@ package fault
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"gobd/internal/logic"
 )
@@ -20,19 +21,24 @@ import (
 //   - per fault, decides excitation on the site gate's own words by gate
 //     evaluation (OBD.ExcitedBits), so a grader holds no transistor
 //     networks and constructing one allocates only its blocks;
-//   - per fault, seeds the forced faulty words at the site and pushes
-//     only gates whose input words actually changed through level-ordered
-//     buckets, so each cone gate is evaluated at most once and gates
-//     outside the cone are never touched;
+//   - per fault site, propagates once per block: it flips the site's
+//     frame-2 word in the lanes where the site toggles between the good
+//     frames and pushes only gates whose input words actually changed
+//     through level-ordered buckets, so each cone gate is evaluated at
+//     most once and gates outside the cone are never touched. The lanes
+//     that flip a known primary output form the site's observability
+//     word. Every OBD fault of a gate delays the same output net, so a
+//     fault's mask is its excitation word ANDed with that word, which
+//     the worker's scratch keeps for the site's next fault (see siteObs);
 //   - widens packing to word-wide single-rail lanes when a block's
 //     patterns are complete: the known rail is constant-1 there, so the
 //     dual-rail evaluation collapses to one word per net (Gate.EvalBits
 //     instead of Gate.EvalBits3), halving both memory traffic and ALU work;
 //   - takes the per-worker scratch (faulty words, dirty marks, level
-//     buckets) from one package-level sync.Pool that every grader
-//     shares, grown to the grader's index when it is taken, so grading
-//     allocates nothing per fault and a short-lived one-pair grader
-//     reuses the scratch of the graders before it.
+//     buckets, the observability memo) from one package-level sync.Pool
+//     that every grader shares, grown to the grader's index when it is
+//     taken, so grading allocates nothing per fault and a short-lived
+//     one-pair grader reuses the scratch of the graders before it.
 //
 // Two reference oracles check it: the scalar gross-delay simulation
 // (Respond and Detects), which the property tests in event_test.go pin
@@ -64,8 +70,14 @@ type PairGrader struct {
 	added []mapPair // appended pairs: pair nsrc+k is added[k]
 
 	blocks   []eventBlock
-	complete bool // every block complete: enables single-rail math
+	complete bool   // every block complete: enables single-rail math
+	version  uint64 // names the current pair set in scratch memos; see siteObs
 }
+
+// graderVersions hands out PairGrader versions: every constructor,
+// Append and Reset takes a fresh one, so no two pair sets in the process
+// share a version.
+var graderVersions atomic.Uint64
 
 // mapPair is one appended pair, kept for the scalar fallback.
 type mapPair struct{ v1, v2 map[string]logic.Value }
@@ -90,9 +102,17 @@ type eventScratch struct {
 	qmark   []uint32 // gate queued stamps
 	epoch   uint32
 	buckets [][]int32 // gate positions by level, drained ascending
-	touched []int32   // dirty net IDs of the current fault
+	touched []int32   // dirty net IDs of the current propagation
 	vbuf    []uint64
 	kbuf    []uint64
+
+	// The observability memo (see siteObs): obs[bi] is the observability
+	// word of net obsSite in block bi of the pair set named obsVer, valid
+	// where obsOK[bi].
+	obsVer  uint64
+	obsSite int32
+	obs     []uint64
+	obsOK   []bool
 }
 
 // scratchPool holds the eventScratch of every grader. A scratch carries
@@ -103,10 +123,16 @@ var scratchPool = sync.Pool{New: func() any {
 	return &eventScratch{vbuf: make([]uint64, 0, 8), kbuf: make([]uint64, 0, 8)}
 }}
 
-// getScratch takes a scratch from the pool, grown to hold x's nets,
-// gates and levels. Return it with scratchPool.Put.
+// getScratch takes a scratch from the pool, fitted to x. Return it with
+// scratchPool.Put.
 func getScratch(x *logic.Index) *eventScratch {
 	sc := scratchPool.Get().(*eventScratch)
+	sc.fit(x)
+	return sc
+}
+
+// fit grows sc to hold x's nets, gates and levels.
+func (sc *eventScratch) fit(x *logic.Index) {
 	if n := x.NumNets(); len(sc.mark) < n {
 		sc.fv, sc.fk, sc.mark = make([]uint64, n), make([]uint64, n), make([]uint32, n)
 	}
@@ -116,7 +142,6 @@ func getScratch(x *logic.Index) *eventScratch {
 	for len(sc.buckets) <= x.MaxLevel {
 		sc.buckets = append(sc.buckets, nil)
 	}
-	return sc
 }
 
 // grow widens the gather buffers to hold n input words without the
@@ -128,7 +153,17 @@ func (sc *eventScratch) grow(n int) {
 	}
 }
 
-// begin opens a new fault simulation epoch.
+// keyObs empties the observability memo and keys it to net site of the
+// pair set named ver, sized for nb blocks.
+func (sc *eventScratch) keyObs(ver uint64, site int32, nb int) {
+	if len(sc.obs) < nb {
+		sc.obs, sc.obsOK = make([]uint64, nb), make([]bool, nb)
+	}
+	clear(sc.obsOK)
+	sc.obsVer, sc.obsSite = ver, site
+}
+
+// begin opens a new propagation epoch.
 //
 //obdcheck:hotpath
 func (sc *eventScratch) begin() {
@@ -148,7 +183,8 @@ func (sc *eventScratch) begin() {
 // newGrader is the setup both constructors share: the circuit's index.
 // The caller appends the blocks.
 func newGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
-	return &PairGrader{c: c, idx: c.Index(), n: n, src: src, nsrc: n, complete: true}
+	return &PairGrader{c: c, idx: c.Index(), n: n, src: src, nsrc: n, complete: true,
+		version: graderVersions.Add(1)}
 }
 
 // NewPairGrader packs the n pairs of src into 64-wide blocks over the
@@ -159,18 +195,11 @@ func NewPairGrader(c *logic.Circuit, n int, src PairSource) *PairGrader {
 	pg := newGrader(c, n, src)
 	nv := pg.idx.NumNets()
 	for start := 0; start < n; start += 64 {
-		// The block packs with known rails until every lane is seen.
-		b := eventBlock{n: min(64, n-start)}
-		b.g1v, b.g1k = make([]uint64, nv), make([]uint64, nv)
-		b.g2v, b.g2k = make([]uint64, nv), make([]uint64, nv)
-		complete := true
+		b := eventBlock{n: min(64, n-start), complete: true}
+		b.g1v, b.g2v = make([]uint64, nv), make([]uint64, nv)
 		for k := 0; k < b.n; k++ {
 			v1, v2 := src(start + k)
-			complete = packLane(pg.idx, &b, k, v1, v2) && complete
-		}
-		b.complete = complete
-		if complete {
-			b.g1k, b.g2k = nil, nil
+			b.pack(pg.idx, k, v1, v2)
 		}
 		b.eval(pg.idx)
 		pg.complete = pg.complete && b.complete
@@ -191,22 +220,13 @@ func (pg *PairGrader) Append(v1, v2 map[string]logic.Value) {
 		pg.openBlock()
 	}
 	b := &pg.blocks[len(pg.blocks)-1]
-	if !packLane(x, b, b.n, v1, v2) && b.complete {
-		// The block's first lane with an unknown input: give it known
-		// rails, every earlier lane known, and pack the lane again.
-		nv := x.NumNets()
-		b.complete, pg.complete = false, false
-		b.g1k, b.g2k = words(b.g1k, nv), words(b.g2k, nv)
-		full := laneMask(b.n)
-		for _, id := range x.InputIDs {
-			b.g1k[id], b.g2k[id] = full, full
-		}
-		packLane(x, b, b.n, v1, v2)
-	}
+	b.pack(x, b.n, v1, v2)
+	pg.complete = pg.complete && b.complete
 	b.n++
 	pg.n++
 	pg.added = append(pg.added, mapPair{v1, v2})
 	b.eval(x)
+	pg.version = graderVersions.Add(1)
 }
 
 // Reset empties the set and keeps the grader's buffers, so the pairs
@@ -214,6 +234,7 @@ func (pg *PairGrader) Append(v1, v2 map[string]logic.Value) {
 // concurrently with grading.
 func (pg *PairGrader) Reset() {
 	pg.n, pg.nsrc, pg.src, pg.complete = 0, 0, nil, true
+	pg.version = graderVersions.Add(1)
 	clear(pg.added)
 	pg.added = pg.added[:0]
 	pg.blocks = pg.blocks[:0]
@@ -323,6 +344,23 @@ func (pg *PairGrader) LocalPair(f OBD, i int) Pair {
 // input — the precondition for single-rail math and for the chain part of
 // fault collapsing (equivalence arguments break under X lanes).
 func (pg *PairGrader) Complete() bool { return pg.complete }
+
+// pack writes pair (v1, v2) into lane k of b's input words. A complete
+// block carries no known rails; its first lane with an unknown input
+// gives it known rails, every earlier lane known, and is packed again.
+func (b *eventBlock) pack(x *logic.Index, k int, v1, v2 map[string]logic.Value) {
+	if packLane(x, b, k, v1, v2) || !b.complete {
+		return
+	}
+	nv := x.NumNets()
+	b.complete = false
+	b.g1k, b.g2k = words(b.g1k, nv), words(b.g2k, nv)
+	full := laneMask(k)
+	for _, id := range x.InputIDs {
+		b.g1k[id], b.g2k[id] = full, full
+	}
+	packLane(x, b, k, v1, v2)
+}
 
 // packLane writes pair (v1, v2) into lane k of b's input words: the value
 // bits, and the known bits when b is not complete. It reports whether
@@ -435,9 +473,7 @@ func (pg *PairGrader) FirstDetecting(f OBD) int {
 	sc := getScratch(pg.idx)
 	defer scratchPool.Put(sc)
 	for bi := range pg.blocks {
-		b := &pg.blocks[bi]
-		mask := pg.detectMaskEvent(b, f, gp, sc)
-		if mask != 0 {
+		if mask := pg.detectMaskEvent(bi, f, gp, sc); mask != 0 {
 			return bi*64 + bits.TrailingZeros64(mask)
 		}
 	}
@@ -459,24 +495,23 @@ func (pg *PairGrader) CountDetecting(f OBD) int {
 	sc := getScratch(pg.idx)
 	defer scratchPool.Put(sc)
 	for bi := range pg.blocks {
-		n += bits.OnesCount64(pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
+		n += bits.OnesCount64(pg.detectMaskEvent(bi, f, gp, sc))
 	}
 	return n
 }
 
-// detectMaskEvent grades one fault against one block, returning the
+// detectMaskEvent grades one fault against block bi, returning the
 // laneMask-clipped bitmask of detecting pairs. The excitation rule is
-// Respond's, evaluated over 64 lanes by OBD.ExcitedBits on the
-// site gate's own words; the faulty frame is then propagated event-driven
-// from the site through its fanout cone only.
+// Respond's, evaluated over 64 lanes by OBD.ExcitedBits on the site
+// gate's own words; a lane detects where the fault is excited and the
+// site is observable (siteObs).
 // The zero-allocation contract (DESIGN.md §11) is enforced statically by
 // the marker below and dynamically by TestDetectMaskEventZeroAlloc.
 //
 //obdcheck:hotpath
-func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScratch) uint64 {
-	x := pg.idx
-	site := int(x.GateOut[gp])
-	o1, o2 := b.g1v[site], b.g2v[site]
+func (pg *PairGrader) detectMaskEvent(bi int, f OBD, gp int, sc *eventScratch) uint64 {
+	x, b := pg.idx, &pg.blocks[bi]
+	site := x.GateOut[gp]
 	ins := x.GateIn[gp]
 	sc.grow(len(ins))
 	lv2 := sc.vbuf[:0]
@@ -487,26 +522,62 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScr
 			localKnown &= b.g1k[id] & b.g2k[id]
 		}
 	}
-	excited := f.ExcitedBits(o1, o2, lv2) & localKnown & laneMask(b.n)
+	excited := f.ExcitedBits(b.g1v[site], b.g2v[site], lv2) & localKnown & laneMask(b.n)
 	if excited == 0 {
 		return 0
 	}
+	return excited & pg.siteObs(bi, site, sc)
+}
 
-	// Faulty frame 2: the site holds its frame-1 value in the excited
-	// lanes (known there: localKnown spans both frames, so o1 is the
-	// output of fully known inputs). Propagate only what changes.
-	sc.begin()
-	nfv := (o2 &^ excited) | (o1 & excited)
-	nfk := uint64(0)
-	if !b.complete {
-		nfk = (b.g2k[site] &^ excited) | (b.g1k[site] & excited)
-		if nfv == b.g2v[site] && nfk == b.g2k[site] {
-			return 0
-		}
+// siteObs returns the observability word of net site in block bi: the
+// in-range lanes where the site's good value toggles between the two
+// frames, known in both, and holding its frame-1 value in frame 2 flips
+// some primary output whose good and faulty words are both known there.
+// An OBD fault forces exactly that value in exactly some of those lanes
+// (its excited lanes toggle, and their local inputs are known), and gate
+// evaluation is lane-independent, so ANDing the fault's excitation word
+// with this word gives the mask that propagating the fault alone would.
+// The word is propagated once per site and block, and the scratch keeps
+// it for the site's next fault: it is keyed by the grader's version,
+// which changes with every Append and Reset, so a memo never outlives
+// the pair set it was computed on.
+//
+//obdcheck:hotpath
+func (pg *PairGrader) siteObs(bi int, site int32, sc *eventScratch) uint64 {
+	if sc.obsVer != pg.version || sc.obsSite != site {
+		sc.keyObs(pg.version, site, len(pg.blocks))
 	}
-	sc.fv[site], sc.fk[site] = nfv, nfk
+	if !sc.obsOK[bi] {
+		sc.obs[bi], sc.obsOK[bi] = pg.observe(&pg.blocks[bi], site, sc), true
+	}
+	return sc.obs[bi]
+}
+
+// observe computes siteObs's word for block b: it flips the site's
+// toggle lanes in frame 2 and propagates the change event-driven through
+// the site's fanout cone only.
+//
+//obdcheck:hotpath
+func (pg *PairGrader) observe(b *eventBlock, site int32, sc *eventScratch) uint64 {
+	x := pg.idx
+	toggle := (b.g1v[site] ^ b.g2v[site]) & laneMask(b.n)
+	if !b.complete {
+		toggle &= b.g1k[site] & b.g2k[site]
+	}
+	if toggle == 0 || x.IsPO[site] {
+		return toggle // a toggling PO is observable in every toggle lane
+	}
+
+	// Faulty frame 2: the site holds its frame-1 value in the toggle
+	// lanes, which are known in both frames, so its known rail is the
+	// good frame-2 one. Propagate only what changes.
+	sc.begin()
+	sc.fv[site] = b.g2v[site] ^ toggle
+	if !b.complete {
+		sc.fk[site] = b.g2k[site]
+	}
 	sc.mark[site] = sc.epoch
-	sc.touched = append(sc.touched, int32(site))
+	sc.touched = append(sc.touched, site)
 	minLvl := x.MaxLevel + 1
 	for _, gi := range x.Fanouts[site] {
 		sc.qmark[gi] = sc.epoch
@@ -588,7 +659,7 @@ func (pg *PairGrader) detectMaskEvent(b *eventBlock, f OBD, gp int, sc *eventScr
 			}
 		}
 	}
-	return detected & excited
+	return detected
 }
 
 // laneMask returns the mask selecting the first n of 64 lanes.

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gobd/internal/logic"
@@ -58,7 +59,7 @@ func eventMasks(pg *PairGrader, f OBD) []uint64 {
 	defer scratchPool.Put(sc)
 	out := make([]uint64, 0, len(pg.blocks))
 	for bi := range pg.blocks {
-		out = append(out, pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc))
+		out = append(out, pg.detectMaskEvent(bi, f, gp, sc))
 	}
 	return out
 }
@@ -106,6 +107,166 @@ func TestEventGraderMatchesScalar(t *testing.T) {
 					t.Fatalf("seed %d complete=%v fault %v: CountDetecting %d, scalar %d", seed, complete, f, got, count)
 				}
 			}
+		}
+	}
+}
+
+// obsCase is one grader under test: its pair list and the scalar
+// verdicts of its circuit's fault universe on every pair.
+type obsCase struct {
+	c      *logic.Circuit
+	pg     *PairGrader
+	faults []OBD
+	tests  []testPair
+	want   [][]bool // want[fi][ti]: does pair ti detect fault fi
+}
+
+func newObsCase(c *logic.Circuit, tests []testPair) *obsCase {
+	faults, _ := OBDUniverse(c)
+	oc := &obsCase{c: c, pg: graderOf(c, tests), faults: faults, tests: slices.Clone(tests),
+		want: make([][]bool, len(faults))}
+	for fi, f := range faults {
+		for _, tp := range tests {
+			oc.want[fi] = append(oc.want[fi], scalarDetects(c, f, tp))
+		}
+	}
+	return oc
+}
+
+// add appends one pair to the grader and the verdicts.
+func (oc *obsCase) add(tp testPair) {
+	oc.pg.Append(tp.v1, tp.v2)
+	oc.tests = append(oc.tests, tp)
+	for fi, f := range oc.faults {
+		oc.want[fi] = append(oc.want[fi], scalarDetects(oc.c, f, tp))
+	}
+}
+
+// reset empties the grader and the verdicts.
+func (oc *obsCase) reset() {
+	oc.pg.Reset()
+	oc.tests = oc.tests[:0]
+	for fi := range oc.want {
+		oc.want[fi] = oc.want[fi][:0]
+	}
+}
+
+// site is the net ID of fault fi's site.
+func (oc *obsCase) site(fi int) int32 {
+	return oc.pg.idx.GateOut[oc.pg.idx.GatePos(oc.faults[fi].Gate)]
+}
+
+// check grades fault fi: every block's mask through detectMaskEvent on
+// the caller's scratch, every lane of all 64 against the scalar verdict
+// (none past the last pair), and FirstDetecting and CountDetecting
+// through the pool against the scalar scan.
+func (oc *obsCase) check(t *testing.T, tag string, sc *eventScratch, fi int) {
+	t.Helper()
+	f := oc.faults[fi]
+	gp := oc.pg.idx.GatePos(f.Gate)
+	first, count := -1, 0
+	for bi := range oc.pg.blocks {
+		mask := oc.pg.detectMaskEvent(bi, f, gp, sc)
+		for k := 0; k < 64; k++ {
+			ti := bi*64 + k
+			want := ti < len(oc.tests) && oc.want[fi][ti]
+			if got := mask&(1<<uint(k)) != 0; got != want {
+				t.Fatalf("%s fault %v pair %d: mask lane %v, scalar %v", tag, f, ti, got, want)
+			}
+			if want {
+				count++
+				if first < 0 {
+					first = ti
+				}
+			}
+		}
+	}
+	if got := oc.pg.FirstDetecting(f); got != first {
+		t.Fatalf("%s fault %v: FirstDetecting %d, scalar %d", tag, f, got, first)
+	}
+	if got := oc.pg.CountDetecting(f); got != count {
+		t.Fatalf("%s fault %v: CountDetecting %d, scalar %d", tag, f, got, count)
+	}
+}
+
+// TestSiteObservabilityMatchesScalar pins the per-site observability
+// memo to the scalar Respond/Detects scan, lane by lane, wherever a
+// stale or narrowed memo word could surface. Two random circuits with
+// the same input count (so their k-th gates drive the same net ID), over
+// complete and X-bearing pair sets, are graded on one explicit scratch:
+// each universe in order (a site's faults in a row share the memo), in
+// a shuffled order, and interleaved between the two graders site by
+// site. Then one grader is appended to and reset, pair by pair, and
+// after each change graded starting from the site it was last graded
+// on, so a memo that outlived its pair set would be read.
+func TestSiteObservabilityMatchesScalar(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opt := logic.RandomOptions{Inputs: 2 + rng.Intn(5), Gates: 4 + rng.Intn(16), Primitive: seed%2 == 0}
+		ca := logic.RandomCircuit(rng, opt)
+		opt.Gates = 4 + rng.Intn(16)
+		cb := logic.RandomCircuit(rng, opt)
+		for _, complete := range []bool{true, false} {
+			tag := fmt.Sprintf("seed %d complete=%v", seed, complete)
+			a := newObsCase(ca, randomPairs(rng, ca, 1+rng.Intn(140), complete))
+			b := newObsCase(cb, randomPairs(rng, cb, 1+rng.Intn(140), complete))
+			sc := getScratch(a.pg.idx)
+			sc.fit(b.pg.idx)
+
+			forward := func(oc *obsCase, tag string) {
+				for fi := range oc.faults {
+					oc.check(t, tag, sc, fi)
+				}
+			}
+			backward := func(oc *obsCase, tag string) {
+				for fi := len(oc.faults) - 1; fi >= 0; fi-- {
+					oc.check(t, tag, sc, fi)
+				}
+			}
+			forward(a, tag+" universe")
+			for _, fi := range rng.Perm(len(a.faults)) {
+				a.check(t, tag+" shuffled", sc, fi)
+			}
+			bySite := func(oc *obsCase) map[int32][]int {
+				m := map[int32][]int{}
+				for fi := range oc.faults {
+					m[oc.site(fi)] = append(m[oc.site(fi)], fi)
+				}
+				return m
+			}
+			sa, sb := bySite(a), bySite(b)
+			for id := int32(0); int(id) < max(a.pg.idx.NumNets(), b.pg.idx.NumNets()); id++ {
+				fa, fb := sa[id], sb[id]
+				for k := 0; k < max(len(fa), len(fb)); k++ {
+					if k < len(fa) {
+						a.check(t, tag+" interleaved", sc, fa[k])
+					}
+					if k < len(fb) {
+						b.check(t, tag+" interleaved", sc, fb[k])
+					}
+				}
+			}
+
+			// Each grade after a change starts on the site the last one
+			// ended on. Round 6 resets first, and round 10 appends a pair
+			// with an X input, which turns a complete block partial.
+			forward(a, tag+" before append")
+			for r := 0; r < 12; r++ {
+				if r == 6 {
+					a.reset()
+				}
+				tp := randomPairs(rng, ca, 1, complete)[0]
+				if r == 10 {
+					tp.v2[ca.Inputs[0]] = logic.X
+				}
+				a.add(tp)
+				if r%2 == 0 {
+					backward(a, fmt.Sprintf("%s append %d", tag, r))
+				} else {
+					forward(a, fmt.Sprintf("%s append %d", tag, r))
+				}
+			}
+			scratchPool.Put(sc)
 		}
 	}
 }
@@ -168,11 +329,11 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 	}
 	sc := getScratch(pg.idx)
 	defer scratchPool.Put(sc)
-	// Warm pass: lets grow() size the gather buffers once.
+	// Warm pass: sizes the gather buffers and the observability memo once.
 	for _, f := range faults {
 		if gp := pg.idx.GatePos(f.Gate); gp >= 0 {
 			for bi := range pg.blocks {
-				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
+				pg.detectMaskEvent(bi, f, gp, sc)
 			}
 		}
 	}
@@ -183,7 +344,7 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 				t.Fatalf("fault %v not on an indexed gate", f)
 			}
 			for bi := range pg.blocks {
-				pg.detectMaskEvent(&pg.blocks[bi], f, gp, sc)
+				pg.detectMaskEvent(bi, f, gp, sc)
 			}
 		}
 	})

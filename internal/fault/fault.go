@@ -76,6 +76,15 @@ func (f EM) String() string {
 // before the NMOS one. Gates without a single-cell CMOS realization
 // (BUF/AND/OR/XOR/XNOR) contribute none and are reported in skipped.
 func OBDUniverse(c *logic.Circuit) (faults []OBD, skipped []*logic.Gate) {
+	n := 0
+	for _, g := range c.Gates {
+		if primitive(g.Type) {
+			n += 2 * len(g.Inputs)
+		}
+	}
+	if n > 0 {
+		faults = make([]OBD, 0, n)
+	}
 	for _, g := range c.Gates {
 		if !primitive(g.Type) {
 			skipped = append(skipped, g)

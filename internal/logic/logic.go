@@ -344,9 +344,16 @@ func (c *Circuit) IsInput(net string) bool { return c.isInput[net] }
 // Validate checks structural sanity (every used net driven or an input, no
 // combinational cycles, outputs resolvable) and computes the topological
 // order and gate levels. It must be called before evaluation; evaluation
-// helpers call it implicitly.
+// helpers call it implicitly. On a circuit that validated and that no
+// mutator (AddInput, AddOutput, AddGate) has changed since, it returns
+// nil at once, keeping the order and levels.
 func (c *Circuit) Validate() error {
-	c.index = nil // rebuilt on demand; the order/levels below may change
+	// Validate always drops the cached index, so a caller that edited a
+	// gate in place gets a fresh one; it is rebuilt on demand.
+	c.index = nil
+	if c.validated {
+		return nil
+	}
 	// Every gate input must be a PI or driven.
 	for _, g := range c.Gates {
 		for _, in := range g.Inputs {
