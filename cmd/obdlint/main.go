@@ -1,9 +1,9 @@
 // Command obdlint runs the internal/netcheck static analyzer over
-// gate-level netlists: structural lint diagnostics, implication-proved
-// constant nets, the exact OBD census (testable with a witness pair,
-// untestable with RUP proofs, or aborted under the conflict budget), and
-// a SCOAP ranking of the hardest faults the census did not prove
-// untestable.
+// gate-level netlists: structural lint diagnostics, SAT-proved constant
+// nets (each with a RUP proof refuting its other value), the exact OBD
+// census (testable with a witness pair, untestable with RUP proofs, or
+// aborted under the conflict budget), and a SCOAP ranking of the hardest
+// faults the census did not prove untestable.
 //
 // Examples:
 //
@@ -27,8 +27,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,38 +47,52 @@ func (c *circuitList) String() string     { return strings.Join(*c, ",") }
 func (c *circuitList) Set(s string) error { *c = append(*c, s); return nil }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, analyzes every requested circuit,
+// writes the reports to stdout and diagnostics to stderr, and returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("obdlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var circuits circuitList
 	var (
-		netlist  = flag.String("netlist", "", "netlist file (.v = structural Verilog, otherwise the internal/logic format)")
-		jsonMode = flag.Bool("json", false, "emit the reports as a JSON array")
-		noFaults = flag.Bool("no-faults", false, "skip the exact OBD census and hard-fault passes")
-		proofs   = flag.Bool("proofs", false, "print the implication chains behind constants and the testable faults' witness pairs")
-		topHard  = flag.Int("top", 10, "hard-fault ranking length (0 = all)")
+		netlist  = fs.String("netlist", "", "netlist file (.v = structural Verilog, otherwise the internal/logic format)")
+		jsonMode = fs.Bool("json", false, "emit the reports as a JSON array")
+		noFaults = fs.Bool("no-faults", false, "skip the exact OBD census and hard-fault passes")
+		proofs   = fs.Bool("proofs", false, "print the RUP proof length behind each constant and the testable faults' witness pairs")
+		topHard  = fs.Int("top", 10, "hard-fault ranking length (0 = all)")
 	)
-	flag.Var(&circuits, "circuit", "built-in circuit (fulladder, c17, mux41, rca<N>, parity<N>); repeatable")
-	flag.Parse()
+	fs.Var(&circuits, "circuit", "built-in circuit (fulladder, c17, mux41, rca<N>, parity<N>); repeatable")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *topHard < 0 {
-		fmt.Fprintf(os.Stderr, "obdlint: -top must be >= 0, got %d\n", *topHard)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "obdlint: -top must be >= 0, got %d\n", *topHard)
+		return 2
 	}
 
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "obdlint:", err)
-		os.Exit(1)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "obdlint:", err)
+		return 1
 	}
 
 	var targets []*logic.Circuit
 	for _, name := range circuits {
 		c, err := builtin(name)
 		if err != nil {
-			die(err)
+			return fail(err)
 		}
 		targets = append(targets, c)
 	}
 	if *netlist != "" {
 		f, err := os.Open(*netlist)
 		if err != nil {
-			die(err)
+			return fail(err)
 		}
 		var c *logic.Circuit
 		if strings.HasSuffix(*netlist, ".v") {
@@ -85,17 +101,17 @@ func main() {
 			c, err = logic.ParseBench(f)
 		} else {
 			// Lenient: structurally broken circuits are exactly what the
-			// lint passes are for; only line-level syntax errors die here.
+			// lint passes are for; only line-level syntax errors fail here.
 			c, err = logic.ParseLenient(f)
 		}
 		f.Close()
 		if err != nil {
-			die(err)
+			return fail(err)
 		}
 		targets = append(targets, c)
 	}
 	if len(targets) == 0 {
-		die(fmt.Errorf("need -netlist FILE or -circuit NAME"))
+		return fail(fmt.Errorf("need -netlist FILE or -circuit NAME"))
 	}
 
 	var reports []*netcheck.Report
@@ -107,21 +123,22 @@ func main() {
 	}
 
 	if *jsonMode {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
-			die(err)
+			return fail(err)
 		}
 	} else {
 		for _, r := range reports {
-			printReport(r, *proofs)
+			printReport(stdout, r, *proofs)
 		}
 	}
 	for _, r := range reports {
 		if r.Errors() > 0 {
-			os.Exit(2)
+			return 2
 		}
 	}
+	return 0
 }
 
 // builtin resolves a named bench circuit, with numeric suffixes for the
@@ -148,48 +165,41 @@ func builtin(name string) (*logic.Circuit, error) {
 	return nil, fmt.Errorf("unknown circuit %q (want fulladder, c17, mux41, rca<N>, parity<N>)", name)
 }
 
-func printReport(r *netcheck.Report, proofs bool) {
-	fmt.Printf("circuit %s: %d inputs, %d outputs, %d gates\n",
+func printReport(w io.Writer, r *netcheck.Report, proofs bool) {
+	fmt.Fprintf(w, "circuit %s: %d inputs, %d outputs, %d gates\n",
 		r.Circuit, r.Inputs, r.Outputs, r.Gates)
 	if r.FFs > 0 {
-		fmt.Printf("  sequential: %d flip-flops; fault passes ran on the combinational core\n", r.FFs)
+		fmt.Fprintf(w, "  sequential: %d flip-flops; fault passes ran on the combinational core\n", r.FFs)
 	}
 	for _, d := range r.Diagnostics {
-		fmt.Printf("  %s\n", d)
+		fmt.Fprintf(w, "  %s\n", d)
 	}
 	if proofs {
 		for _, k := range r.Constants {
-			fmt.Printf("  proof of %s=%v:\n", k.Net, k.Val)
-			printProof(k.Proof)
+			fmt.Fprintf(w, "  proof of %s=%v: %d-lemma RUP proof\n", k.Net, k.Val, len(k.Proof))
 		}
 	}
 	if r.Exact != nil {
-		fmt.Printf("  exact: %d faults, %d testable, %d untestable, %d aborted\n",
+		fmt.Fprintf(w, "  exact: %d faults, %d testable, %d untestable, %d aborted\n",
 			r.Exact.Faults, r.Exact.Testable, r.Exact.Untestable, r.Exact.Aborted)
 		for _, v := range r.Exact.Verdicts {
 			switch {
 			case v.Aborted:
-				fmt.Printf("    aborted %s (conflict budget exhausted)\n", v.Fault)
+				fmt.Fprintf(w, "    aborted %s (conflict budget exhausted)\n", v.Fault)
 			case v.Testable:
 				if proofs {
-					fmt.Printf("    testable %s: witness pair %s\n", v.Fault, v.Witness.Pair)
+					fmt.Fprintf(w, "    testable %s: witness pair %s\n", v.Fault, v.Witness.Pair)
 				}
 			default:
-				fmt.Printf("    untestable %s: %s (%d pair refutations)\n", v.Fault, v.Reason, len(v.Pairs))
+				fmt.Fprintf(w, "    untestable %s: %s (%d pair refutations)\n", v.Fault, v.Reason, len(v.Pairs))
 			}
 		}
 	}
 	if len(r.HardFaults) > 0 {
-		fmt.Printf("  hardest surviving faults (SCOAP cost = CC + CO):\n")
+		fmt.Fprintf(w, "  hardest surviving faults (SCOAP cost = CC + CO):\n")
 		for i, h := range r.HardFaults {
-			fmt.Printf("    %2d. %-14s cost %3d (cc %d, co %d) cheapest pair %s\n",
+			fmt.Fprintf(w, "    %2d. %-14s cost %3d (cc %d, co %d) cheapest pair %s\n",
 				i+1, h.Fault, h.Cost, h.CC, h.CO, h.Pair)
 		}
-	}
-}
-
-func printProof(p netcheck.Proof) {
-	for _, s := range p {
-		fmt.Printf("        %s\n", s)
 	}
 }

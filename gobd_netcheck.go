@@ -1,6 +1,6 @@
-// Static-analysis layer of the public facade: netlist lint, implication
-// -proved constants, the exact SAT-backed OBD prover with checkable RUP
-// certificates, and combinational equivalence checking.
+// Static-analysis layer of the public facade: netlist lint, SAT-proved
+// constant nets and the exact SAT-backed OBD prover, both with checkable
+// RUP certificates, and combinational equivalence checking.
 package gobd
 
 import (
@@ -20,8 +20,6 @@ type (
 	NetcheckOptions = netcheck.Options
 	// OBDVerdict is the untestability view of one fault's exact verdict.
 	OBDVerdict = netcheck.Verdict
-	// ImplicationProof is a machine-checkable implication chain.
-	ImplicationProof = netcheck.Proof
 )
 
 // Static analysis entry points.
@@ -30,10 +28,12 @@ var (
 	AnalyzeNetlist = netcheck.Analyze
 	// LintNetlist runs only the structural lint pass.
 	LintNetlist = netcheck.Lint
-	// StaticConstants derives implication-proved constant nets.
+	// StaticConstants derives SAT-proved constant nets, each with a RUP
+	// proof refuting its other value.
 	StaticConstants = netcheck.Constants
-	// VerifyImplicationProof independently replays a proof chain.
-	VerifyImplicationProof = netcheck.VerifyProof
+	// VerifyConstantProof re-encodes a constant's CNF from the circuit
+	// and checks its proof.
+	VerifyConstantProof = netcheck.VerifyConstant
 )
 
 // Exact proof engine: complete SAT-decided OBD testability verdicts

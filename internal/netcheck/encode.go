@@ -285,10 +285,11 @@ func (b *cnfBuilder) demandUnits(x *logic.Index, vars []sat.Lit, demands []sideV
 	}
 }
 
-// obdFrame1 builds the frame-1 justification instance of an excitation
-// pair: one circuit copy plus the pair's V1 values on the site gate's
-// distinct input nets.
-func obdFrame1(x *logic.Index, demands []sideVal) (*cnfBuilder, []sat.Lit) {
+// frameUnits builds one circuit copy plus each demanded net value as a
+// unit clause: the frame-1 justification instance of an excitation pair
+// (its V1 values on the site gate's distinct input nets), and the probe
+// that refutes a constant net's other value.
+func frameUnits(x *logic.Index, demands []sideVal) (*cnfBuilder, []sat.Lit) {
 	b := &cnfBuilder{}
 	vars := b.encodeFrame(x)
 	b.demandUnits(x, vars, demands)

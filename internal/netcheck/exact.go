@@ -165,7 +165,7 @@ func proveExactList(c *logic.Circuit, faults []fault.OBD, budget, nsim int) []Ex
 		}
 		return out
 	}
-	sim := newSimGrader(core, nsim)
+	sim := newSimGrader(core, nsim, nil)
 	if len(onCore) > 1 {
 		sim.shared = make(map[int][2]map[string]logic.Value)
 	}
@@ -207,8 +207,9 @@ func exactCore(c *logic.Circuit, faults []fault.OBD) (*logic.Circuit, []fault.OB
 	return core, moved, nil
 }
 
-// simGrader is the exact prover's simulation pass: n seeded random
-// complete pairs on one word-built event grader.
+// simGrader is the simulation pass of the exact prover and of
+// Constants: n seeded random complete pairs on one word-built event
+// grader.
 type simGrader struct {
 	c  *logic.Circuit
 	pg *fault.PairGrader
@@ -221,7 +222,10 @@ type simGrader struct {
 	shared map[int][2]map[string]logic.Value
 }
 
-func newSimGrader(c *logic.Circuit, n int) *simGrader {
+// newSimGrader grades n pairs on c. A non-nil frame1 sees every block's
+// evaluated frame-1 words, one per net ID, each lane a random complete
+// input pattern.
+func newSimGrader(c *logic.Circuit, n int, frame1 func(g1 []uint64)) *simGrader {
 	x, nin := c.Index(), len(c.Inputs)
 	s := &simGrader{c: c, words: make([]uint64, 2*nin*((n+63)/64))}
 	rng := rand.New(rand.NewSource(simSeed))
@@ -236,7 +240,12 @@ func newSimGrader(c *logic.Circuit, n int) *simGrader {
 	}
 	s.pg = fault.NewPairGraderWords(c, n,
 		func(b int, g1 []uint64) { frame(b, 0, g1) },
-		func(b int, _, g2 []uint64) { frame(b, 1, g2) },
+		func(b int, g1, g2 []uint64) {
+			if frame1 != nil {
+				frame1(g1)
+			}
+			frame(b, 1, g2)
+		},
 		s.pair)
 	return s
 }
@@ -271,14 +280,14 @@ func (s *simGrader) witness(f fault.OBD) *ExactWitness {
 	return &ExactWitness{Pair: s.pg.LocalPair(f, i).String(), V1: p[0], V2: p[1]}
 }
 
-// residue is the exact prover's SAT pass over one circuit's index: the
-// good frame, encoded once, and one reused proof-logging solver. Every
-// instance loads as the frame's clauses followed by its own tail (the
-// demand units, plus the faulty cone and the output difference in
-// frame 2), the same CNF in the same order that obdFrame1 and obdFrame2
-// build from scratch, so verdicts and proofs are those of a fresh
-// solver per instance, and VerifyExactVerdict re-encodes exactly the
-// formula each proof refutes.
+// residue is the SAT pass of the exact prover and of Constants over one
+// circuit's index: the good frame, encoded once, and one reused
+// proof-logging solver. Every instance loads as the frame's clauses
+// followed by its own tail (the demand units, plus the faulty cone and
+// the output difference in frame 2), the same CNF in the same order that
+// frameUnits and obdFrame2 build from scratch, so verdicts and proofs
+// are those of a fresh solver per instance, and VerifyExactVerdict and
+// VerifyConstant re-encode exactly the formula each proof refutes.
 type residue struct {
 	x     *logic.Index
 	frame cnfBuilder // the good frame
@@ -460,7 +469,7 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 		case 2:
 			b, _ = obdFrame2(x, f, f.Gate.Eval(p.V1), d2)
 		case 1:
-			b, _ = obdFrame1(x, d1)
+			b, _ = frameUnits(x, d1)
 		default:
 			return fail(p.String(), fmt.Sprintf("refutation names frame %d", ref.Frame), nil)
 		}

@@ -14,5 +14,5 @@ func ProveOBDExactListSATOnly(c *logic.Circuit, faults []fault.OBD, budget int) 
 // SimulationDetects reports whether one of the exact prover's simulated
 // pairs detects f, that is, whether its witness comes from simulation.
 func SimulationDetects(c *logic.Circuit, f fault.OBD) bool {
-	return newSimGrader(c, simPairs).witness(f) != nil
+	return newSimGrader(c, simPairs, nil).witness(f) != nil
 }

@@ -8,15 +8,15 @@
 //     dangling primary inputs, and scan-chain findings on sequential
 //     netlists (floating D pins, unobservable state bits, self-looped
 //     flip-flops);
-//   - a static implication engine (Implications) doing constant
-//     propagation from structurally tied nets and direct implications
-//     across gates, with every derived value carrying a machine-checkable
-//     proof step chain; it proves the constant-net lint (Constants);
 //   - the exact OBD prover (ProveOBDExactList, exact.go), the one
 //     untestability census: seeded random pairs graded on the event
 //     engine find witnesses, and SAT decides the rest, so every verdict
 //     is testable with a witness, untestable with RUP proofs, or Aborted
 //     under its conflict budget;
+//   - the constant-net lint (Constants, constant.go), decided by the
+//     census's same two passes: a net that takes both values on the
+//     simulated pairs is not constant, and SAT refutes the other value
+//     of each remaining net with a RUP proof (VerifyConstant);
 //   - a SCOAP-backed hard-fault report (HardFaults) ranking the faults
 //     the census did not prove untestable by controllability/
 //     observability cost.
@@ -115,9 +115,9 @@ type Report struct {
 	// pseudo-inputs, next-state functions as pseudo-outputs).
 	FFs         int          `json:"ffs,omitempty"`
 	Diagnostics []Diagnostic `json:"diagnostics"`
-	// Constants lists nets proved to hold one value under every input
-	// assignment (empty unless the circuit lints clean enough to run the
-	// implication engine).
+	// Constants lists the gate outputs proved to hold one value under
+	// every input assignment, each with a RUP proof (empty unless the
+	// circuit lints without Error diagnostics).
 	Constants []Constant `json:"constants,omitempty"`
 	// Verdicts holds one untestability verdict per fault of the circuit's
 	// OBD universe, a view of Exact.Verdicts (nil when the universe was
@@ -200,7 +200,7 @@ func Analyze(c *logic.Circuit, opt Options) *Report {
 			Code:     CodeConstantNet,
 			Severity: Warning,
 			Net:      k.Net,
-			Message: fmt.Sprintf("net %q is structurally constant %v (proved by a %d-step implication chain)",
+			Message: fmt.Sprintf("net %q is structurally constant %v (proved by a %d-lemma RUP proof)",
 				k.Net, k.Val, len(k.Proof)),
 		})
 	}

@@ -9,6 +9,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"gobd/internal/cells"
+	"gobd/internal/logic"
+	"gobd/internal/netcheck"
 )
 
 // nand2 is the smallest interesting DUT: 4 OBD faults, all testable.
@@ -301,6 +305,34 @@ func TestServeLint(t *testing.T) {
 	// Syntax errors are still 400s.
 	status, body, _ = post(t, ts.URL+"/v1/lint", LintRequest{Netlist: "not a netlist"})
 	wantErrorCode(t, status, body, 400, CodeBadNetlist)
+}
+
+// TestServeLintConstantCertificate: the constants on the wire carry a
+// checkable certificate. The full adder's one constant net, d3 = 1,
+// decodes with a proof that netcheck.VerifyConstant accepts against the
+// circuit parsed from the posted netlist.
+func TestServeLintConstantCertificate(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	netlist := logic.Format(cells.FullAdderSumLogic())
+	status, body, _ := post(t, ts.URL+"/v1/lint", LintRequest{Netlist: netlist})
+	if status != 200 {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var lr LintResponse
+	if err := json.Unmarshal(body, &lr); err != nil {
+		t.Fatal(err)
+	}
+	ks := lr.Report.Constants
+	if len(ks) != 1 || ks[0].Net != "d3" || ks[0].Val != logic.One {
+		t.Fatalf("constants = %+v, want exactly [d3=1]", ks)
+	}
+	c, err := logic.Parse(strings.NewReader(netlist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netcheck.VerifyConstant(c, ks[0]); err != nil {
+		t.Fatalf("decoded certificate does not verify: %v", err)
+	}
 }
 
 func TestServeMission(t *testing.T) {
