@@ -4,6 +4,10 @@
 package netcheck_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -147,5 +151,46 @@ func BenchmarkAnalyze(b *testing.B) {
 				netcheck.Analyze(k.c, netcheck.Options{})
 			}
 		})
+	}
+}
+
+// TestAnalyzeGoldenDigests pins Analyze's whole report byte for byte:
+// the sha256 of the JSON of Analyze(c, Options{}) on c432, s27 and the
+// full adder. Lint, constants, the census (witnesses and proofs
+// included) and the hard-fault ranking all enter the digest. The .bench
+// files load through ParseBench, which leaves the circuit unnamed, so
+// the digests do not depend on how a file loader names circuits.
+func TestAnalyzeGoldenDigests(t *testing.T) {
+	load := func(path string) func() *logic.Circuit {
+		return func() *logic.Circuit {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			c, err := logic.ParseBench(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		c      func() *logic.Circuit
+		bytes  int
+		sha256 string
+	}{
+		{"c432", load("../../testdata/c432.bench"), 511511, "ef1e06a31dc22feaea1b798e1a0ab1462dae93a33da72f65dab3de52073918af"},
+		{"s27", load("../../testdata/s27.bench"), 11810, "9cf0a9f27f43750f648b298c2edad63b95579cd59748344942b3f9be9bad3c7f"},
+		{"full adder", cells.FullAdderSumLogic, 18614, "de8ce155ac5c50fc667d03bd0e5e099abf57159ab9f2d3bf3b1f0a6ff0e2b495"},
+	} {
+		b, err := json.Marshal(netcheck.Analyze(tc.c(), netcheck.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.bytes || sum != tc.sha256 {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", tc.name, len(b), sum, tc.bytes, tc.sha256)
+		}
 	}
 }
