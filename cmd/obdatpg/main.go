@@ -30,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -44,189 +46,224 @@ import (
 )
 
 func main() {
-	var (
-		netlist   = flag.String("netlist", "", "gate-level netlist file (.bench = ISCAS-85, .v = structural Verilog, otherwise the internal/logic format)")
-		fulladder = flag.Bool("fulladder", false, "use the built-in Fig. 8 full-adder sum circuit")
-		randGates = flag.Int("random-gates", 0, "generate a seeded random primitive-gate circuit with this many gates")
-		randIns   = flag.Int("random-inputs", 16, "primary input count for -random-gates")
-		randFFs   = flag.Int("random-ffs", 0, "flip-flop count for -random-gates (makes the circuit sequential)")
-		randSeed  = flag.Int64("random-seed", 1, "generator seed for -random-gates")
-		model     = flag.String("model", "obd", "fault model: obd, transition, stuckat, ndetect, los, bist")
-		style     = flag.String("style", "", "scan style for sequential circuits: enhanced, los, loc (lifts the netlist into its scan model and targets the combinational core's OBD universe; -model must be obd)")
-		nDetect   = flag.Int("n", 3, "detection multiplicity for -model ndetect (at least 1)")
-		cycles    = flag.Int("cycles", 256, "stream length for -model bist (at least 2)")
-		gradeOBD  = flag.Bool("grade-obd", false, "also grade the generated set against the OBD universe")
-		prune     = flag.Bool("prune", false, "settle the OBD faults netcheck's exact prover proves untestable before running PODEM on them (model obd only)")
-		satFB     = flag.Bool("sat-fallback", false, "resolve PODEM aborts with the exact SAT prover (model obd only)")
-		maxBT     = flag.Int("max-backtracks", 0, "PODEM backtrack limit (0 = default); low limits force aborts, which -sat-fallback then resolves")
-		outFile   = flag.String("o", "", "write the generated vector pairs to this file")
-		applyFile = flag.String("apply", "", "skip generation: grade a saved vector-pair file against the OBD universe")
-		verbose   = flag.Bool("v", false, "print every generated vector")
-		workers   = flag.Int("workers", 0, "fault-simulation worker count (0 = GOMAXPROCS)")
-		stats     = flag.Bool("stats", false, "print per-worker scheduler statistics on exit")
-	)
-	flag.Parse()
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "obdatpg:", err)
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// config holds the parsed flags of one invocation.
+type config struct {
+	netlist, model, style, outFile, applyFile                    string
+	fulladder, gradeOBD, prune, satFB, verbose, stats            bool
+	randGates, randIns, randFFs, nDetect, cycles, maxBT, workers int
+	randSeed                                                     int64
+}
+
+// run is the command: it parses args, generates or grades, writes the
+// report to stdout and diagnostics to stderr, and returns the exit
+// status: 2 for a usage error, 1 for a failure, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("obdatpg", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg config
+	fs.StringVar(&cfg.netlist, "netlist", "", "gate-level netlist file (.bench = ISCAS-85, .v = structural Verilog, otherwise the internal/logic format)")
+	fs.BoolVar(&cfg.fulladder, "fulladder", false, "use the built-in Fig. 8 full-adder sum circuit")
+	fs.IntVar(&cfg.randGates, "random-gates", 0, "generate a seeded random primitive-gate circuit with this many gates")
+	fs.IntVar(&cfg.randIns, "random-inputs", 16, "primary input count for -random-gates")
+	fs.IntVar(&cfg.randFFs, "random-ffs", 0, "flip-flop count for -random-gates (makes the circuit sequential)")
+	fs.Int64Var(&cfg.randSeed, "random-seed", 1, "generator seed for -random-gates")
+	fs.StringVar(&cfg.model, "model", "obd", "fault model: obd, transition, stuckat, ndetect, los, bist")
+	fs.StringVar(&cfg.style, "style", "", "scan style for sequential circuits: enhanced, los, loc (lifts the netlist into its scan model and targets the combinational core's OBD universe; -model must be obd)")
+	fs.IntVar(&cfg.nDetect, "n", 3, "detection multiplicity for -model ndetect (at least 1)")
+	fs.IntVar(&cfg.cycles, "cycles", 256, "stream length for -model bist (at least 2)")
+	fs.BoolVar(&cfg.gradeOBD, "grade-obd", false, "also grade the generated set against the OBD universe")
+	fs.BoolVar(&cfg.prune, "prune", false, "settle the OBD faults netcheck's exact prover proves untestable before running PODEM on them (model obd only)")
+	fs.BoolVar(&cfg.satFB, "sat-fallback", false, "resolve PODEM aborts with the exact SAT prover (model obd only)")
+	fs.IntVar(&cfg.maxBT, "max-backtracks", 0, "PODEM backtrack limit (0 = default); low limits force aborts, which -sat-fallback then resolves")
+	fs.StringVar(&cfg.outFile, "o", "", "write the generated vector pairs to this file")
+	fs.StringVar(&cfg.applyFile, "apply", "", "skip generation: grade a saved vector-pair file against the OBD universe")
+	fs.BoolVar(&cfg.verbose, "v", false, "print every generated vector")
+	fs.IntVar(&cfg.workers, "workers", 0, "fault-simulation worker count (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.stats, "stats", false, "print per-worker scheduler statistics on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "obdatpg: "+format+"\n", args...)
-		os.Exit(2)
+	if msg := cfg.usageError(); msg != "" {
+		fmt.Fprintln(stderr, "obdatpg: "+msg)
+		return 2
 	}
+	sched := atpg.NewScheduler(cfg.workers)
+	sched.CollectStats = cfg.stats
+	if err := cfg.execute(stdout, sched); err != nil {
+		fmt.Fprintln(stderr, "obdatpg:", err)
+		return 1
+	}
+	if cfg.stats {
+		for _, ws := range sched.Stats() {
+			fmt.Fprintln(stdout, "  "+ws.String())
+		}
+	}
+	return 0
+}
+
+// usageError returns the message of the first conflicting or
+// out-of-range flag, or "".
+func (cfg *config) usageError() string {
 	switch {
-	case *style != "" && *model != "obd":
-		usage("-style generates OBD tests; it cannot be combined with -model %s", *model)
-	case (*prune || *satFB) && (*model != "obd" || *style != "" || *applyFile != ""):
-		usage("-prune and -sat-fallback apply to combinational -model obd generation only (not -style or -apply)")
-	case *maxBT < 0:
-		usage("-max-backtracks %d is negative", *maxBT)
-	case *nDetect < 1:
-		usage("-n %d is below 1", *nDetect)
-	case *cycles < 2:
-		usage("-cycles %d is below 2 (fewer than two patterns give no launch pair)", *cycles)
-	case *randIns < 1:
-		usage("-random-inputs %d is below 1", *randIns)
-	case *randFFs < 0:
-		usage("-random-ffs %d is negative", *randFFs)
+	case cfg.style != "" && cfg.model != "obd":
+		return fmt.Sprintf("-style generates OBD tests; it cannot be combined with -model %s", cfg.model)
+	case (cfg.prune || cfg.satFB) && (cfg.model != "obd" || cfg.style != "" || cfg.applyFile != ""):
+		return "-prune and -sat-fallback apply to combinational -model obd generation only (not -style or -apply)"
+	case cfg.maxBT < 0:
+		return fmt.Sprintf("-max-backtracks %d is negative", cfg.maxBT)
+	case cfg.nDetect < 1:
+		return fmt.Sprintf("-n %d is below 1", cfg.nDetect)
+	case cfg.cycles < 2:
+		return fmt.Sprintf("-cycles %d is below 2 (fewer than two patterns give no launch pair)", cfg.cycles)
+	case cfg.randIns < 1:
+		return fmt.Sprintf("-random-inputs %d is below 1", cfg.randIns)
+	case cfg.randFFs < 0:
+		return fmt.Sprintf("-random-ffs %d is negative", cfg.randFFs)
 	}
-	sched := atpg.NewScheduler(*workers)
-	sched.CollectStats = *stats
-	if *stats {
-		defer printStats(sched)
-	}
+	return ""
+}
+
+// execute loads the circuit, then generates (or grades the -apply file)
+// on sched and reports to w.
+func (cfg *config) execute(w io.Writer, sched *atpg.Scheduler) error {
 	var lc *logic.Circuit
 	switch {
-	case *fulladder:
+	case cfg.fulladder:
 		lc = cells.FullAdderSumLogic()
-	case *netlist != "":
-		c, err := logic.ParseFile(*netlist)
+	case cfg.netlist != "":
+		c, err := logic.ParseFile(cfg.netlist)
 		if err != nil {
-			die(err)
+			return err
 		}
 		lc = c
-	case *randGates > 0:
-		rng := rand.New(rand.NewSource(*randSeed))
-		lc = logic.RandomCircuit(rng, logic.RandomOptions{Inputs: *randIns, Gates: *randGates, FFs: *randFFs, Primitive: true})
+	case cfg.randGates > 0:
+		rng := rand.New(rand.NewSource(cfg.randSeed))
+		lc = logic.RandomCircuit(rng, logic.RandomOptions{Inputs: cfg.randIns, Gates: cfg.randGates, FFs: cfg.randFFs, Primitive: true})
 	default:
-		die(fmt.Errorf("need -netlist FILE, -fulladder or -random-gates N"))
+		return fmt.Errorf("need -netlist FILE, -fulladder or -random-gates N")
 	}
-	fmt.Printf("circuit %s: %d inputs, %d outputs, %d gates, depth %d\n",
+	fmt.Fprintf(w, "circuit %s: %d inputs, %d outputs, %d gates, depth %d\n",
 		lc.Name, len(lc.Inputs), len(lc.Outputs), len(lc.Gates), lc.Depth())
 
-	if *applyFile != "" {
-		f, err := os.Open(*applyFile)
+	if cfg.applyFile != "" {
+		f, err := os.Open(cfg.applyFile)
 		if err != nil {
-			die(err)
+			return err
 		}
 		saved, err := atpg.ReadTests(f, lc)
 		f.Close()
 		if err != nil {
-			die(err)
+			return err
 		}
 		faults, _ := fault.OBDUniverse(lc)
 		cov, err := sched.GradeOBD(lc, faults, saved)
 		if err != nil {
-			die(err)
+			return err
 		}
-		fmt.Printf("applied %d saved pairs: OBD coverage %s\n", len(saved), cov)
-		if *verbose {
+		fmt.Fprintf(w, "applied %d saved pairs: OBD coverage %s\n", len(saved), cov)
+		if cfg.verbose {
 			for _, u := range cov.Undetected {
-				fmt.Println("  missed: " + u)
+				fmt.Fprintln(w, "  missed: "+u)
 			}
 		}
-		return
+		return nil
 	}
 
 	var pairs []atpg.TwoPattern
-	if *style != "" || *model == "los" {
+	if cfg.style != "" || cfg.model == "los" {
 		st := seq.LOS
 		var s *seq.Circuit
 		var err error
-		if *style != "" {
-			if st, err = seq.ParseStyle(*style); err != nil {
-				die(err)
+		if cfg.style != "" {
+			if st, err = seq.ParseStyle(cfg.style); err != nil {
+				return err
 			}
 			s, err = seq.FromCircuit(lc)
 		} else {
 			s, err = seq.InputChain(lc)
 		}
 		if err != nil {
-			die(err)
+			return err
 		}
-		fmt.Printf("scan model: %d flip-flops, %d primary inputs, core %d gates\n",
+		fmt.Fprintf(w, "scan model: %d flip-flops, %d primary inputs, core %d gates\n",
 			len(s.FFs), len(s.PIs), len(s.Core.Gates))
 		faults, skipped := fault.OBDUniverse(s.Core)
 		if len(skipped) > 0 {
-			fmt.Printf("note: %d composite gates carry no OBD faults\n", len(skipped))
+			fmt.Fprintf(w, "note: %d composite gates carry no OBD faults\n", len(skipped))
 		}
 		res, err := seq.GenerateTestsOn(sched, s, faults, st, nil)
 		if err != nil {
-			die(err)
+			return err
 		}
 		exact := ""
 		if res.Exact {
 			exact = " (exact)"
 		}
-		fmt.Printf("%s: generated %d pairs, coverage %s%s\n",
+		fmt.Fprintf(w, "%s: generated %d pairs, coverage %s%s\n",
 			st, len(res.Tests), res.Coverage, exact)
-		if *verbose {
+		if cfg.verbose {
 			for _, tp := range res.Tests {
-				fmt.Println("  " + tp.StringFor(s.Core))
+				fmt.Fprintln(w, "  "+tp.StringFor(s.Core))
 			}
 		}
 		// The tail flags (-grade-obd, -o) operate on core patterns.
 		pairs = res.Tests
 		lc = s.Core
 	} else {
-		switch *model {
+		switch cfg.model {
 		case "obd":
 			faults, skipped := fault.OBDUniverse(lc)
 			if len(skipped) > 0 {
-				fmt.Printf("note: %d composite gates carry no OBD faults\n", len(skipped))
+				fmt.Fprintf(w, "note: %d composite gates carry no OBD faults\n", len(skipped))
 			}
 			opt := atpg.DefaultOptions()
-			opt.Prune = *prune
-			if *maxBT > 0 {
-				opt.MaxBacktracks = *maxBT
+			opt.Prune = cfg.prune
+			if cfg.maxBT > 0 {
+				opt.MaxBacktracks = cfg.maxBT
 			}
 			var satStats *atpg.SATStats
-			if *satFB {
+			if cfg.satFB {
 				opt.SATFallback = true
 				satStats = &atpg.SATStats{}
 				opt.SATStats = satStats
 			}
 			ts, err := sched.GenerateOBDTests(lc, faults, opt)
 			if err != nil {
-				die(err)
+				return err
 			}
 			pairs = ts.Tests
-			report2(lc, ts, *verbose)
+			report2(w, lc, ts, cfg.verbose)
 			if satStats != nil {
-				fmt.Printf("sat fallback: %d aborts handed over, %d resolved detected, %d resolved untestable, %d undecided\n",
+				fmt.Fprintf(w, "sat fallback: %d aborts handed over, %d resolved detected, %d resolved untestable, %d undecided\n",
 					satStats.Aborts, satStats.Detected, satStats.Untestable, satStats.Undecided)
 			}
 		case "ndetect":
 			faults, _ := fault.OBDUniverse(lc)
-			ts, err := sched.GenerateNDetectOBDTests(lc, faults, *nDetect)
+			ts, err := sched.GenerateNDetectOBDTests(lc, faults, cfg.nDetect)
 			if err != nil {
-				die(err)
+				return err
 			}
 			pairs = ts.Tests
-			report2(lc, ts, *verbose)
+			report2(w, lc, ts, cfg.verbose)
 		case "bist":
 			faults, _ := fault.OBDUniverse(lc)
-			s, err := bist.NewSession(lc, 0xACE1, *cycles)
+			s, err := bist.NewSession(lc, 0xACE1, cfg.cycles)
 			if err != nil {
-				die(err)
+				return err
 			}
 			golden, err := s.GoldenSignature()
 			if err != nil {
-				die(err)
+				return err
 			}
 			results, err := s.RunFaults(faults, golden, sched)
 			if err != nil {
-				die(err)
+				return err
 			}
 			detected, aliased := 0, 0
 			for _, res := range results {
@@ -237,70 +274,65 @@ func main() {
 					}
 				}
 			}
-			fmt.Printf("%d-cycle BIST (golden signature %04x): %d/%d detected, %d aliased\n",
-				*cycles, golden, detected, len(faults), aliased)
+			fmt.Fprintf(w, "%d-cycle BIST (golden signature %04x): %d/%d detected, %d aliased\n",
+				cfg.cycles, golden, detected, len(faults), aliased)
 			pairs = s.Pairs()
 		case "transition":
 			ts, err := sched.GenerateTransitionTests(lc, fault.TransitionUniverse(lc), nil)
 			if err != nil {
-				die(err)
+				return err
 			}
 			pairs = ts.Tests
-			report2(lc, ts, *verbose)
+			report2(w, lc, ts, cfg.verbose)
 		case "stuckat":
 			ts, err := sched.GenerateStuckAtTests(lc, fault.StuckAtUniverse(lc), nil)
 			if err != nil {
-				die(err)
+				return err
 			}
-			fmt.Printf("generated %d patterns, coverage %s\n", len(ts.Tests), ts.Coverage)
-			if *verbose {
+			fmt.Fprintf(w, "generated %d patterns, coverage %s\n", len(ts.Tests), ts.Coverage)
+			if cfg.verbose {
 				for _, p := range ts.Tests {
-					fmt.Println("  " + p.KeyFor(lc))
+					fmt.Fprintln(w, "  "+p.KeyFor(lc))
 				}
 			}
 			for i := 1; i < len(ts.Tests); i++ {
 				pairs = append(pairs, atpg.TwoPattern{V1: ts.Tests[i-1], V2: ts.Tests[i]})
 			}
 		default:
-			die(fmt.Errorf("unknown model %q", *model))
+			return fmt.Errorf("unknown model %q", cfg.model)
 		}
 	}
-	if *gradeOBD {
+	if cfg.gradeOBD {
 		faults, _ := fault.OBDUniverse(lc)
 		cov, err := sched.GradeOBD(lc, faults, pairs)
 		if err != nil {
-			die(err)
+			return err
 		}
-		fmt.Printf("OBD universe coverage of this set: %s\n", cov)
-		if *verbose {
+		fmt.Fprintf(w, "OBD universe coverage of this set: %s\n", cov)
+		if cfg.verbose {
 			for _, f := range cov.Undetected {
-				fmt.Println("  missed: " + f)
+				fmt.Fprintln(w, "  missed: "+f)
 			}
 		}
 	}
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
+	if cfg.outFile != "" {
+		f, err := os.Create(cfg.outFile)
 		if err != nil {
-			die(err)
+			return err
 		}
 		err = atpg.WriteTests(f, lc, pairs)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			die(err)
+			return err
 		}
-		fmt.Printf("wrote %d pairs to %s\n", len(pairs), *outFile)
+		fmt.Fprintf(w, "wrote %d pairs to %s\n", len(pairs), cfg.outFile)
 	}
+	return nil
 }
 
-func printStats(sched *atpg.Scheduler) {
-	for _, ws := range sched.Stats() {
-		fmt.Println("  " + ws.String())
-	}
-}
-
-func report2(lc *logic.Circuit, ts *atpg.TestSet, verbose bool) {
+func report2(w io.Writer, lc *logic.Circuit, ts *atpg.TestSet, verbose bool) {
 	nUnt, nAb, nErr := 0, 0, 0
 	for _, r := range ts.Results {
 		switch r.Status {
@@ -314,11 +346,11 @@ func report2(lc *logic.Circuit, ts *atpg.TestSet, verbose bool) {
 			// Reflected in len(ts.Tests) and the coverage figure.
 		}
 	}
-	fmt.Printf("generated %d vector pairs, coverage %s (%d untestable, %d aborted, %d errored)\n",
+	fmt.Fprintf(w, "generated %d vector pairs, coverage %s (%d untestable, %d aborted, %d errored)\n",
 		len(ts.Tests), ts.Coverage, nUnt, nAb, nErr)
 	if verbose {
 		for _, tp := range ts.Tests {
-			fmt.Println("  " + tp.StringFor(lc))
+			fmt.Fprintln(w, "  "+tp.StringFor(lc))
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var circuits circuitList
 	var (
-		netlist  = fs.String("netlist", "", "netlist file (.v = structural Verilog, otherwise the internal/logic format)")
+		netlist  = fs.String("netlist", "", "netlist file (.bench = ISCAS-85, .v = structural Verilog, otherwise the internal/logic format)")
 		jsonMode = fs.Bool("json", false, "emit the reports as a JSON array")
 		noFaults = fs.Bool("no-faults", false, "skip the exact OBD census and hard-fault passes")
 		proofs   = fs.Bool("proofs", false, "print the RUP proof length behind each constant and the testable faults' witness pairs")
@@ -90,21 +91,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targets = append(targets, c)
 	}
 	if *netlist != "" {
-		f, err := os.Open(*netlist)
-		if err != nil {
-			return fail(err)
-		}
 		var c *logic.Circuit
-		if strings.HasSuffix(*netlist, ".v") {
-			c, err = logic.ParseVerilog(f)
-		} else if strings.HasSuffix(*netlist, ".bench") {
-			c, err = logic.ParseBench(f)
-		} else {
+		var err error
+		switch strings.ToLower(filepath.Ext(*netlist)) {
+		case ".bench", ".v":
+			// ParseFile names an unnamed circuit (every .bench one) after
+			// the file.
+			c, err = logic.ParseFile(*netlist)
+		default:
 			// Lenient: structurally broken circuits are exactly what the
 			// lint passes are for; only line-level syntax errors fail here.
-			c, err = logic.ParseLenient(f)
+			var f *os.File
+			if f, err = os.Open(*netlist); err == nil {
+				c, err = logic.ParseLenient(f)
+				f.Close()
+			}
 		}
-		f.Close()
 		if err != nil {
 			return fail(err)
 		}

@@ -61,10 +61,9 @@ type (
 var (
 	// ProveOBDExact decides one OBD fault exactly (no conflict budget).
 	ProveOBDExact = netcheck.ProveOBDExact
-	// ProveOBDExactBudget is ProveOBDExact under a conflict budget;
-	// exhausting it yields an honestly Aborted verdict, never a wrong one.
-	ProveOBDExactBudget = netcheck.ProveOBDExactBudget
-	// ProveOBDExactList runs the exact prover over a fault list.
+	// ProveOBDExactList runs the exact prover over a fault list under a
+	// conflict budget; exhausting it yields an honestly Aborted verdict,
+	// never a wrong one.
 	ProveOBDExactList = netcheck.ProveOBDExactList
 	// VerifyExactVerdict independently re-derives a verdict's CNF and
 	// checks its certificate (witness replay or RUP proof per pair).

@@ -3,7 +3,6 @@ package atpg
 import (
 	"gobd/internal/fault"
 	"gobd/internal/logic"
-	"gobd/internal/netcheck"
 )
 
 // drain accumulates an engine's backtracks into the configured sink.
@@ -92,15 +91,13 @@ func GenerateOBDTest(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, 
 	if c.HasDFF() {
 		return nil, Errored // sequential circuit: use internal/seq or the combinational core
 	}
-	if opt.Prune {
-		//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: DFF-bearing circuits returned Errored above
-		if netcheck.ProveOBDExactBudget(c, f, netcheck.DefaultExactBudget).Untestable() {
-			return nil, Untestable
-		}
+	pv := newPodemView(c, opt)
+	if opt.Prune && pv.prove(f).Untestable() {
+		return nil, Untestable
 	}
-	tp, st := generateOBDTestWith(f, opt, newPodemView(c, opt))
+	tp, st := generateOBDTestWith(f, opt, pv)
 	if st == Aborted && opt.SATFallback {
-		return satResolveOBD(c, f, opt)
+		return satResolveOBD(c, f, opt, pv)
 	}
 	return tp, st
 }

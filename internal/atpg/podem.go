@@ -7,6 +7,7 @@ import (
 
 	"gobd/internal/fault"
 	"gobd/internal/logic"
+	"gobd/internal/netcheck"
 )
 
 // podemView is the read-only state that every PODEM search of one
@@ -23,6 +24,7 @@ type podemView struct {
 
 	scratch sync.Pool // *podemScratch sized to x
 	graders sync.Pool // *PairGrader over the circuit, for one-pair validation
+	provers sync.Pool // *netcheck.Prover over the circuit, for Prune and SATFallback
 }
 
 // newPodemView indexes c for PODEM and, unless opt disables it, computes
@@ -52,6 +54,7 @@ func newPodemView(c *logic.Circuit, opt *Options) *podemView {
 		maxIn = max(maxIn, len(ins))
 	}
 	v.graders.New = func() any { return fault.NewPairGrader(c, 0, nil) }
+	v.provers.New = func() any { return netcheck.NewProver(c, netcheck.DefaultExactBudget) }
 	v.scratch.New = func() any {
 		return &podemScratch{
 			good:    make([]logic.Value, n+1),
@@ -362,6 +365,16 @@ func (v *podemView) validates(f fault.OBD, tp *TwoPattern) bool {
 	pg.Reset()
 	v.graders.Put(pg)
 	return ok
+}
+
+// prove decides f exactly under DefaultExactBudget, on a prover taken
+// from the view's pool. A prover whose call panicked is not put back.
+func (v *podemView) prove(f fault.OBD) netcheck.ExactVerdict {
+	p := v.provers.Get().(*netcheck.Prover)
+	//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: GenerateOBDTest returns Errored and resumeTests a typed *SequentialCircuitError on DFF-bearing circuits before any view proves a fault
+	ev := p.Prove(f)
+	v.provers.Put(p)
+	return ev
 }
 
 // pattern is the current primary-input assignment as a Pattern, every

@@ -137,6 +137,31 @@ func TestPruneSingleFault(t *testing.T) {
 	}
 }
 
+// TestProverPoolDropsPanicked: a prover whose call panicked is not put
+// back in the view's pool, so the next caller gets a fresh one.
+func TestProverPoolDropsPanicked(t *testing.T) {
+	c := cells.FullAdderSumLogic()
+	pv := newPodemView(c, DefaultOptions())
+	var built []any
+	newProver := pv.provers.New
+	pv.provers.New = func() any {
+		built = append(built, newProver())
+		return built[len(built)-1]
+	}
+	faults, _ := fault.OBDUniverse(c)
+	bad := faults[0]
+	bad.Gate = nil // naming the fault panics
+	if err := protect(func() error { pv.prove(bad); return nil }); err == nil {
+		t.Fatal("proving a fault without a gate did not panic")
+	}
+	if len(built) != 1 {
+		t.Fatalf("%d provers built for one call", len(built))
+	}
+	if p := pv.provers.Get(); p == built[0] {
+		t.Fatal("the prover whose call panicked went back into the pool")
+	}
+}
+
 func benchGenerate(b *testing.B, c *logic.Circuit, prune bool) {
 	faults, _ := fault.OBDUniverse(c)
 	opt := DefaultOptions()

@@ -7,7 +7,6 @@ import (
 
 	"gobd/internal/fault"
 	"gobd/internal/logic"
-	"gobd/internal/netcheck"
 )
 
 // This file is the one generation driver behind GenerateOBDTestsCtx and
@@ -56,13 +55,13 @@ type genModel[F fmt.Stringer, T any] struct {
 	// pair, when set, is the test a Detected Result carries. Models
 	// without it (stuck-at) keep their tests in the set only.
 	pair func(t T) *TwoPattern
-	// prune, when set, marks the faults of a shard that are proved
-	// untestable before generation (OBD Options.Prune).
-	prune func(fs []F) []bool
+	// prune, when set, reports whether a fault is proved untestable
+	// before generation (OBD Options.Prune); it runs on a pool worker.
+	prune func(f F, pv *podemView) bool
 	// resolve, when set, settles an Aborted verdict in the sequential
 	// commit loop (OBD Options.SATFallback), so speculation results stay
 	// advisory and worker counts cannot change what is committed.
-	resolve func(f F) (T, Status)
+	resolve func(f F, pv *podemView) (T, Status)
 }
 
 // checkResumePrefix validates that results is a committable prefix of
@@ -317,12 +316,14 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 		// sees them (committed indices already carry their verdicts),
 		// sharded like a grade; the PODEM view built the lazy
 		// index, which is not safe to build from several workers at
-		// once. A shard that panics leaves its faults unpruned.
+		// once. A panic leaves the rest of its shard unpruned.
 		tail := n - start
 		pruned := make([]bool, tail)
 		err := s.runCtx(ctx, tail, gradeGrain(tail, s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
 			_ = protect(func() error {
-				copy(pruned[lo:hi], m.prune(faults[start+lo:start+hi]))
+				for k := lo; k < hi; k++ {
+					pruned[k] = m.prune(faults[start+k], pv)
+				}
 				return nil
 			})
 			ws.Items += int64(hi - lo)
@@ -365,7 +366,7 @@ func resumeTests[F fmt.Stringer, T any](ctx context.Context, s *Scheduler, c *lo
 			continue
 		}
 		if st == Aborted && m.resolve != nil {
-			t, st = m.resolve(faults[i])
+			t, st = m.resolve(faults[i], pv)
 		}
 		res := Result{Fault: name, Status: st}
 		if st == Detected {
@@ -427,18 +428,10 @@ func (s *Scheduler) ResumeOBDTestsCtx(ctx context.Context, c *logic.Circuit, fau
 		pair: pairRef,
 	}
 	if opt.Prune {
-		m.prune = func(fs []fault.OBD) []bool {
-			//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: resumeTests rejects DFF-bearing circuits with a typed *SequentialCircuitError before pruning
-			vs := netcheck.ProveOBDExactList(c, fs, netcheck.DefaultExactBudget)
-			out := make([]bool, len(vs))
-			for i, v := range vs {
-				out[i] = v.Untestable()
-			}
-			return out
-		}
+		m.prune = func(f fault.OBD, pv *podemView) bool { return pv.prove(f).Untestable() }
 	}
 	if opt.SATFallback {
-		m.resolve = func(f fault.OBD) (TwoPattern, Status) { return pairValue(satResolveOBD(c, f, opt)) }
+		m.resolve = func(f fault.OBD, pv *podemView) (TwoPattern, Status) { return pairValue(satResolveOBD(c, f, opt, pv)) }
 	}
 	ts, err := resumeTests(ctx, s, c, opt, faults, m, (*genSet[TwoPattern])(prior), upto)
 	return (*TestSet)(ts), err

@@ -3,7 +3,6 @@ package atpg
 import (
 	"gobd/internal/fault"
 	"gobd/internal/logic"
-	"gobd/internal/netcheck"
 )
 
 // The SAT fallback (Options.SATFallback) closes PODEM's completeness
@@ -25,40 +24,36 @@ type SATStats struct {
 	Undecided  int // solver conflict budget exhausted; verdict stays Aborted
 }
 
-// satResolveOBD runs the exact prover on one PODEM-aborted fault. The
-// returned status is Detected (with a simulator-validated two-pattern),
-// Untestable, or Aborted when the prover's budget ran out as well.
-func satResolveOBD(c *logic.Circuit, f fault.OBD, opt *Options) (*TwoPattern, Status) {
-	if opt.SATStats != nil {
-		opt.SATStats.Aborts++
-	}
-	//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: GenerateOBDTest(s) return Errored on DFF-bearing circuits before any fallback runs
-	ev := netcheck.ProveOBDExactBudget(c, f, netcheck.DefaultExactBudget)
+// satResolveOBD runs the exact prover on one PODEM-aborted fault, on a
+// prover from pv's pool. The returned status is Detected (with a
+// simulator-validated two-pattern), Untestable, or Aborted when the
+// prover's budget ran out as well.
+func satResolveOBD(c *logic.Circuit, f fault.OBD, opt *Options, pv *podemView) (*TwoPattern, Status) {
+	ev := pv.prove(f)
+	var tp *TwoPattern
+	st := Untestable
 	switch {
 	case ev.Testable:
-		tp := &TwoPattern{V1: Pattern(ev.Witness.V1), V2: Pattern(ev.Witness.V2)}
 		// The witness is complete by construction; the replay is a
 		// belt-and-braces check so a prover bug can never commit a test
 		// the simulator disagrees with.
-		if DetectsOBD(c, f, *tp) {
-			if opt.SATStats != nil {
-				opt.SATStats.Detected++
-			}
-			return tp, Detected
+		tp, st = &TwoPattern{V1: Pattern(ev.Witness.V1), V2: Pattern(ev.Witness.V2)}, Detected
+		if !DetectsOBD(c, f, *tp) {
+			tp, st = nil, Aborted
 		}
-		if opt.SATStats != nil {
-			opt.SATStats.Undecided++
-		}
-		return nil, Aborted
 	case ev.Aborted:
-		if opt.SATStats != nil {
-			opt.SATStats.Undecided++
-		}
-		return nil, Aborted
-	default:
-		if opt.SATStats != nil {
-			opt.SATStats.Untestable++
-		}
-		return nil, Untestable
+		st = Aborted
 	}
+	if s := opt.SATStats; s != nil {
+		s.Aborts++
+		switch st {
+		case Detected:
+			s.Detected++
+		case Untestable:
+			s.Untestable++
+		default:
+			s.Undecided++
+		}
+	}
+	return tp, st
 }

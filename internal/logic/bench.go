@@ -232,9 +232,10 @@ func (e *ParseError) Unwrap() error { return e.Err }
 
 // ParseFile loads a netlist from disk, dispatching on the extension:
 // ".bench" → ParseBench, ".v" → ParseVerilog, anything else → the native
-// Parse text format. Every parse failure comes back as a *ParseError,
-// and a file that yields a completely empty circuit fails with one
-// wrapping ErrEmptyNetlist.
+// Parse text format. A circuit the file leaves unnamed (every .bench
+// file) is named after the file's base name without its extension. Every
+// parse failure comes back as a *ParseError, and a file that yields a
+// completely empty circuit fails with one wrapping ErrEmptyNetlist.
 func ParseFile(path string) (*Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -268,6 +269,9 @@ func ParseFile(path string) (*Circuit, error) {
 	}
 	if len(c.Inputs) == 0 && len(c.Gates) == 0 && len(c.Outputs) == 0 {
 		return nil, &ParseError{Path: path, Format: format, Err: ErrEmptyNetlist}
+	}
+	if c.Name == "" {
+		c.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
 	return c, nil
 }

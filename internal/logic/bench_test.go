@@ -124,25 +124,37 @@ func TestFormatBenchRejectsAOI(t *testing.T) {
 	}
 }
 
+// TestParseFileDispatch: each extension reaches its parser, and a
+// circuit the file leaves unnamed is named after the file, while a
+// named one keeps its own name.
 func TestParseFileDispatch(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"c.bench": benchC17,
-		"c.v":     "module m (a, y); input a; output y; not g1 (y, a); endmodule\n",
-		"c.net":   "circuit m\ninput a\noutput y\ninv g1 y a\n",
+	cases := map[string]struct{ src, name string }{
+		"c17.bench":    {benchC17, "c17"},
+		"c.v":          {"module m (a, y); input a; output y; not g1 (y, a); endmodule\n", "m"},
+		"c.net":        {"circuit m\ninput a\noutput y\ninv g1 y a\n", "m"},
+		"unnamed.n.nl": {"input a\noutput y\ninv g1 y a\n", "unnamed.n"},
 	}
-	for name, src := range cases {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+	for file, tc := range cases {
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c, err := ParseFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", file, err)
 		}
 		if len(c.Gates) == 0 {
-			t.Fatalf("%s: no gates parsed", name)
+			t.Fatalf("%s: no gates parsed", file)
 		}
+		if c.Name != tc.name {
+			t.Fatalf("%s: circuit named %q, want %q", file, c.Name, tc.name)
+		}
+	}
+	if c, err := ParseBenchString(benchC17); err != nil {
+		t.Fatal(err)
+	} else if c.Name != "" {
+		t.Fatalf("ParseBenchString named the circuit %q, want it unnamed", c.Name)
 	}
 	if _, err := ParseFile(filepath.Join(dir, "missing.bench")); err == nil {
 		t.Fatal("missing file should error")

@@ -36,40 +36,26 @@ type Constant struct {
 // instance runs under DefaultExactBudget conflicts. The circuit must
 // validate.
 func Constants(c *logic.Circuit) []Constant {
-	core, _, err := exactCore(c, nil)
-	if err != nil {
-		return nil // unreachable for a circuit that validates
-	}
-	return constants(core, newResidue(core.Index(), DefaultExactBudget))
+	return NewProver(c, DefaultExactBudget).constants()
 }
 
-// constants decides the constant nets of a combinational circuit, with
-// res over its index as the SAT pass.
-func constants(core *logic.Circuit, res *residue) []Constant {
-	x := res.x
-	// seen[id] has bit v set once net id took value v.
-	seen := make([]uint8, x.NumNets())
-	newSimGrader(core, simPairs, func(g1 []uint64) {
-		for id, w := range g1 {
-			if w != 0 {
-				seen[id] |= 2
-			}
-			if w != ^uint64(0) {
-				seen[id] |= 1
-			}
-		}
-	})
+// constants decides the constant nets of the prover's circuit: a net
+// that took one value on the simulated frame 1 is probed with the other.
+func (p *Prover) constants() []Constant {
+	if p.c == nil {
+		return nil
+	}
 	var out []Constant
-	for _, g := range core.Ordered() {
-		id := x.NetIDs[g.Output]
-		if seen[id] == 3 {
+	for _, g := range p.c.Ordered() {
+		id := p.x.NetIDs[g.Output]
+		if p.seen[id] == 3 {
 			continue
 		}
-		val := logic.FromBool(seen[id] == 2)
-		res.tail.reset(res.frame.nv)
-		res.tail.demandUnits(x, res.vars, []sideVal{{net: g.Output, val: val.Not()}})
-		if res.solve() == sat.Unsat {
-			out = append(out, Constant{Net: g.Output, Val: val, Proof: res.s.Proof()})
+		val := logic.FromBool(p.seen[id] == 2)
+		p.newTail()
+		p.tail.demandUnits(p.x, p.vars, []sideVal{{net: g.Output, val: val.Not()}})
+		if p.solve() == sat.Unsat {
+			out = append(out, Constant{Net: g.Output, Val: val, Proof: p.s.Proof()})
 		}
 	}
 	return out
@@ -106,7 +92,7 @@ func VerifyConstant(c *logic.Circuit, k Constant) error {
 	if err := c.Validate(); err != nil {
 		return fail("circuit does not validate", err)
 	}
-	core, _, err := exactCore(c, nil)
+	core, err := exactCore(c)
 	if err != nil {
 		return fail("combinational core extraction failed", err)
 	}

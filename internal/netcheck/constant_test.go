@@ -227,7 +227,7 @@ func TestConstantsBudgetReportsNothing(t *testing.T) {
 	if got := constantNets(Constants(c)); !slices.Equal(got, []string{"eq=1"}) {
 		t.Fatalf("constants = %v, want [eq=1]", got)
 	}
-	tiny := constants(c, newResidue(c.Index(), 1))
+	tiny := NewProver(c, 1).constants()
 	verifyAll(t, c, tiny)
 	if len(tiny) != 0 {
 		t.Fatalf("one-conflict budget: constants = %v, want none", constantNets(tiny))

@@ -124,138 +124,127 @@ const (
 	simSeed  = 1
 )
 
-// ProveOBDExact decides one fault with no conflict budget: the verdict
-// is never Aborted. The circuit must validate.
-func ProveOBDExact(c *logic.Circuit, f fault.OBD) ExactVerdict {
-	return ProveOBDExactBudget(c, f, 0)
-}
-
-// ProveOBDExactBudget is ProveOBDExact under a per-instance conflict
-// budget (0 = unlimited); faults whose instances exceed it come back
-// Aborted. It is ProveOBDExactList over a list of one, so a verdict does
-// not depend on the entry point.
-func ProveOBDExactBudget(c *logic.Circuit, f fault.OBD, budget int) ExactVerdict {
-	return ProveOBDExactList(c, []fault.OBD{f}, budget)[0]
-}
-
-// ProveOBDExactList decides a fault list; the result is index-aligned
-// with faults. Simulation goes first: every fault that one of simPairs
-// seeded random pairs detects is testable, with the first detecting pair
-// as its witness, whose V1/V2 maps it shares with every other witness
-// of the call drawn from that pair. Only the faults no pair detects are
-// decided by SAT: the good frame is encoded once, at the first of them,
-// and every frame instance is solved on one reused solver, with the
-// verdicts and proofs a fresh solver per instance would give. A
+// Prover is the exact prover over one circuit, built once and asked
+// fault by fault (Prove) or net by net (constants). It holds both passes:
+// the simPairs seeded pairs on one word-built event grader, with the
+// values every net took on their frame 1, and the good frame, encoded at
+// the first fault or net simulation leaves open, with one reused
+// proof-logging solver. Every instance loads as the frame's clauses
+// followed by its own tail (the demand units, plus the faulty cone and
+// the output difference in frame 2), the same CNF in the same order that
+// frameUnits and obdFrame2 build from scratch, so an answer does not
+// depend on what the prover answered before: verdicts and proofs are
+// those of a fresh solver per instance, and VerifyExactVerdict and
+// VerifyConstant re-encode exactly the formula each proof refutes. A
 // DFF-bearing circuit is decided over its combinational core (see
-// exactCore). The circuit must validate.
-func ProveOBDExactList(c *logic.Circuit, faults []fault.OBD, budget int) []ExactVerdict {
-	return proveExactList(c, faults, budget, simPairs)
-}
+// exactCore). A Prover is not safe for concurrent use.
+type Prover struct {
+	c   *logic.Circuit // the circuit decided; nil when it has no core
+	seq bool           // the circuit given has flip-flops, so faults move onto c
+	x   *logic.Index
 
-// proveExactList is ProveOBDExactList with the number of simulated pairs
-// as a parameter; with none, every fault is decided by SAT.
-func proveExactList(c *logic.Circuit, faults []fault.OBD, budget, nsim int) []ExactVerdict {
-	out := make([]ExactVerdict, len(faults))
-	core, onCore, err := exactCore(c, faults)
-	if err != nil {
-		// Unreachable for a circuit that validates; decide nothing
-		// rather than guess.
-		for i, f := range faults {
-			out[i] = ExactVerdict{Fault: f.String(), Aborted: true}
-		}
-		return out
-	}
-	sim := newSimGrader(core, nsim, nil)
-	if len(onCore) > 1 {
-		sim.shared = make(map[int][2]map[string]logic.Value)
-	}
-	var res *residue
-	for i, f := range onCore {
-		if w := sim.witness(f); w != nil {
-			out[i] = ExactVerdict{Fault: f.String(), Testable: true, Witness: w}
-			continue
-		}
-		if res == nil {
-			res = newResidue(core.Index(), budget)
-		}
-		out[i] = res.prove(f)
-	}
-	return out
-}
-
-// exactCore returns the circuit the exact prover decides and the faults
-// moved onto it. A circuit without flip-flops is its own. A DFF-bearing
-// circuit is decided over its combinational core, as Analyze does: state
-// bits become pseudo-inputs and next-state nets pseudo-outputs. Each
-// fault moves to the core gate that drives the same net, keeping its pin
-// and side, so its name does not change.
-func exactCore(c *logic.Circuit, faults []fault.OBD) (*logic.Circuit, []fault.OBD, error) {
-	if !c.HasDFF() {
-		return c, faults, nil
-	}
-	core, err := c.CombinationalCore()
-	if err != nil {
-		return nil, nil, err
-	}
-	moved := make([]fault.OBD, len(faults))
-	for i, f := range faults {
-		moved[i] = f
-		if g := core.Driver(f.Gate.Output); g != nil {
-			moved[i].Gate = g
-		}
-	}
-	return core, moved, nil
-}
-
-// simGrader is the simulation pass of the exact prover and of
-// Constants: n seeded random complete pairs on one word-built event
-// grader.
-type simGrader struct {
-	c  *logic.Circuit
 	pg *fault.PairGrader
 	// words holds block b's frame-f word of input i at
 	// words[(2*b+f)*len(c.Inputs)+i].
 	words []uint64
+	// seen[id] has bit v set once net id took value v on frame 1.
+	seen []uint8
 	// shared holds the V1 and V2 maps of every pair that already named
 	// a witness, keyed by pair index, so witnesses naming the same pair
-	// share them. Nil when the call has one fault and nothing to share.
+	// share them.
 	shared map[int][2]map[string]logic.Value
+
+	frame cnfBuilder // the good frame
+	vars  []sat.Lit  // the frame's literal per net ID, nil until encoded
+	tail  cnfBuilder // the current instance's own clauses
+	s     sat.Solver
 }
 
-// newSimGrader grades n pairs on c. A non-nil frame1 sees every block's
-// evaluated frame-1 words, one per net ID, each lane a random complete
-// input pattern.
-func newSimGrader(c *logic.Circuit, n int, frame1 func(g1 []uint64)) *simGrader {
-	x, nin := c.Index(), len(c.Inputs)
-	s := &simGrader{c: c, words: make([]uint64, 2*nin*((n+63)/64))}
-	rng := rand.New(rand.NewSource(simSeed))
-	for i := range s.words {
-		s.words[i] = rng.Uint64()
+// NewProver grades the seeded pairs on c under a per-instance conflict
+// budget (0 = unlimited); instances that exceed it come back Aborted.
+// The circuit must validate. NewProver never calls Validate, and once
+// c.Index() has been built it only reads c, so provers over one circuit
+// may then be built on several goroutines at once.
+func NewProver(c *logic.Circuit, budget int) *Prover {
+	p := &Prover{s: sat.Solver{ProofEnabled: true}, shared: make(map[int][2]map[string]logic.Value)}
+	if budget > 0 {
+		p.s.MaxConflicts = int64(budget)
 	}
+	core, err := exactCore(c)
+	if err != nil {
+		return p // unreachable for a circuit that validates; p decides nothing
+	}
+	p.c, p.seq, p.x = core, core != c, core.Index()
+	nin := len(core.Inputs)
+	p.words = make([]uint64, 2*nin*((simPairs+63)/64))
+	rng := rand.New(rand.NewSource(simSeed))
+	for i := range p.words {
+		p.words[i] = rng.Uint64()
+	}
+	p.seen = make([]uint8, p.x.NumNets())
 	frame := func(b, f int, g []uint64) {
-		w := s.words[(2*b+f)*nin:]
-		for i, id := range x.InputIDs {
+		w := p.words[(2*b+f)*nin:]
+		for i, id := range p.x.InputIDs {
 			g[id] = w[i]
 		}
 	}
-	s.pg = fault.NewPairGraderWords(c, n,
+	p.pg = fault.NewPairGraderWords(core, simPairs,
 		func(b int, g1 []uint64) { frame(b, 0, g1) },
 		func(b int, g1, g2 []uint64) {
-			if frame1 != nil {
-				frame1(g1)
+			for id, w := range g1 {
+				if w != 0 {
+					p.seen[id] |= 2
+				}
+				if w != ^uint64(0) {
+					p.seen[id] |= 1
+				}
 			}
 			frame(b, 1, g2)
 		},
-		s.pair)
-	return s
+		p.pair)
+	return p
+}
+
+// ProveOBDExact decides one fault with no conflict budget: the verdict
+// is never Aborted. The circuit must validate.
+func ProveOBDExact(c *logic.Circuit, f fault.OBD) ExactVerdict {
+	return NewProver(c, 0).Prove(f)
+}
+
+// ProveOBDExactList decides a fault list on one Prover under a
+// per-instance conflict budget (0 = unlimited); the result is
+// index-aligned with faults. Witnesses drawn from the same simulated pair
+// share their V1/V2 maps. The circuit must validate.
+func ProveOBDExactList(c *logic.Circuit, faults []fault.OBD, budget int) []ExactVerdict {
+	return NewProver(c, budget).census(faults).Verdicts
+}
+
+// exactCore returns the circuit the exact prover decides: c itself
+// without flip-flops, else its combinational core, as Analyze uses,
+// where state bits are pseudo-inputs and next-state nets pseudo-outputs.
+func exactCore(c *logic.Circuit) (*logic.Circuit, error) {
+	if !c.HasDFF() {
+		return c, nil
+	}
+	return c.CombinationalCore()
+}
+
+// onCore moves a fault of a DFF-bearing circuit to the core gate that
+// drives the same net, keeping its pin and side, so its name does not
+// change.
+func onCore(core *logic.Circuit, f fault.OBD) fault.OBD {
+	if g := core.Driver(f.Gate.Output); g != nil {
+		f.Gate = g
+	}
+	return f
 }
 
 // pair reads pair i's two patterns out of the words.
-func (s *simGrader) pair(i int) (v1, v2 map[string]logic.Value) {
-	nin, k := len(s.c.Inputs), uint(i%64)
-	w := s.words[2*(i/64)*nin:]
+func (p *Prover) pair(i int) (v1, v2 map[string]logic.Value) {
+	nin, k := len(p.c.Inputs), uint(i%64)
+	w := p.words[2*(i/64)*nin:]
 	v1, v2 = make(map[string]logic.Value, nin), make(map[string]logic.Value, nin)
-	for j, in := range s.c.Inputs {
+	for j, in := range p.c.Inputs {
 		v1[in] = logic.FromBool(w[j]>>k&1 == 1)
 		v2[in] = logic.FromBool(w[nin+j]>>k&1 == 1)
 	}
@@ -264,67 +253,62 @@ func (s *simGrader) pair(i int) (v1, v2 map[string]logic.Value) {
 
 // witness returns the first pair that detects f as a witness named by
 // the excitation pair it realizes, or nil when no pair detects f. The
-// pair's V1 and V2 maps are built once per call (see shared).
-func (s *simGrader) witness(f fault.OBD) *ExactWitness {
-	i := s.pg.FirstDetecting(f)
+// pair's V1 and V2 maps are built once per prover (see shared).
+func (p *Prover) witness(f fault.OBD) *ExactWitness {
+	i := p.pg.FirstDetecting(f)
 	if i < 0 {
 		return nil
 	}
-	p, ok := s.shared[i]
+	w, ok := p.shared[i]
 	if !ok {
-		p[0], p[1] = s.pair(i)
-		if s.shared != nil {
-			s.shared[i] = p
-		}
+		w[0], w[1] = p.pair(i)
+		p.shared[i] = w
 	}
-	return &ExactWitness{Pair: s.pg.LocalPair(f, i).String(), V1: p[0], V2: p[1]}
+	return &ExactWitness{Pair: p.pg.LocalPair(f, i).String(), V1: w[0], V2: w[1]}
 }
 
-// residue is the SAT pass of the exact prover and of Constants over one
-// circuit's index: the good frame, encoded once, and one reused
-// proof-logging solver. Every instance loads as the frame's clauses
-// followed by its own tail (the demand units, plus the faulty cone and
-// the output difference in frame 2), the same CNF in the same order that
-// frameUnits and obdFrame2 build from scratch, so verdicts and proofs
-// are those of a fresh solver per instance, and VerifyExactVerdict and
-// VerifyConstant re-encode exactly the formula each proof refutes.
-type residue struct {
-	x     *logic.Index
-	frame cnfBuilder // the good frame
-	vars  []sat.Lit  // the frame's literal per net ID
-	tail  cnfBuilder // the current instance's own clauses
-	s     sat.Solver
-}
-
-func newResidue(x *logic.Index, budget int) *residue {
-	r := &residue{x: x, s: sat.Solver{ProofEnabled: true}}
-	if budget > 0 {
-		r.s.MaxConflicts = int64(budget)
+// newTail empties the instance tail, after encoding the good frame if
+// no instance has needed it yet.
+func (p *Prover) newTail() {
+	if p.vars == nil {
+		p.vars = p.frame.encodeFrame(p.x)
 	}
-	r.vars = r.frame.encodeFrame(r.x)
-	return r
+	p.tail.reset(p.frame.nv)
 }
 
 // solve decides the frame plus the current tail.
-func (r *residue) solve() sat.Status {
-	load(&r.s, r.tail.nv, r.frame.clauses, r.tail.clauses)
-	return r.s.Solve()
+func (p *Prover) solve() sat.Status {
+	load(&p.s, p.tail.nv, p.frame.clauses, p.tail.clauses)
+	return p.s.Solve()
 }
 
 // inputs reads the primary-input assignment out of the last model.
-func (r *residue) inputs() map[string]logic.Value {
-	out := make(map[string]logic.Value, len(r.x.InputIDs))
-	for _, id := range r.x.InputIDs {
-		out[r.x.NetNames[id]] = logic.FromBool(r.s.Value(int(r.vars[id])))
+func (p *Prover) inputs() map[string]logic.Value {
+	out := make(map[string]logic.Value, len(p.x.InputIDs))
+	for _, id := range p.x.InputIDs {
+		out[p.x.NetNames[id]] = logic.FromBool(p.s.Value(int(p.vars[id])))
 	}
 	return out
 }
 
-// prove decides f pair by pair: each excitation pair becomes two SAT
-// instances, frame-2 excitation and propagation, then frame-1
-// justification (see encode.go).
-func (r *residue) prove(f fault.OBD) ExactVerdict {
+// Prove decides one fault. Simulation goes first: a fault one of the
+// seeded pairs detects is testable, with the first detecting pair as its
+// witness. Otherwise each excitation pair becomes two SAT instances,
+// frame-2 excitation and propagation, then frame-1 justification (see
+// encode.go).
+func (p *Prover) Prove(f fault.OBD) ExactVerdict {
 	v := ExactVerdict{Fault: f.String()}
+	if p.c == nil {
+		v.Aborted = true
+		return v
+	}
+	if p.seq {
+		f = onCore(p.c, f)
+	}
+	if w := p.witness(f); w != nil {
+		v.Testable, v.Witness = true, w
+		return v
+	}
 	pairs := f.ExcitationPairs()
 	if len(pairs) == 0 {
 		v.Reason = ReasonNoExcitation
@@ -332,34 +316,34 @@ func (r *residue) prove(f fault.OBD) ExactVerdict {
 	}
 	refs := make([]ExactRefutation, 0, len(pairs))
 	aborted := false
-	for _, p := range pairs {
-		d2, conf2 := demandByNet(f.Gate, p.V2)
+	for _, pr := range pairs {
+		d2, conf2 := demandByNet(f.Gate, pr.V2)
 		if conf2 {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 2, PinConflict: true})
+			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 2, PinConflict: true})
 			continue
 		}
-		d1, conf1 := demandByNet(f.Gate, p.V1)
+		d1, conf1 := demandByNet(f.Gate, pr.V1)
 		if conf1 {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 1, PinConflict: true})
+			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 1, PinConflict: true})
 			continue
 		}
-		r.tail.reset(r.frame.nv)
-		r.tail.frame2Tail(r.x, r.vars, f, f.Gate.Eval(p.V1), d2)
-		st2 := r.solve()
+		p.newTail()
+		p.tail.frame2Tail(p.x, p.vars, f, f.Gate.Eval(pr.V1), d2)
+		st2 := p.solve()
 		if st2 == sat.Unsat {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 2, Proof: r.s.Proof()})
+			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 2, Proof: p.s.Proof()})
 			continue
 		}
 		if st2 == sat.Unknown {
 			aborted = true
 			continue
 		}
-		v2 := r.inputs() // before frame 1 reuses the solver
-		r.tail.reset(r.frame.nv)
-		r.tail.demandUnits(r.x, r.vars, d1)
-		st1 := r.solve()
+		v2 := p.inputs() // before frame 1 reuses the solver
+		p.newTail()
+		p.tail.demandUnits(p.x, p.vars, d1)
+		st1 := p.solve()
 		if st1 == sat.Unsat {
-			refs = append(refs, ExactRefutation{Pair: p.String(), Frame: 1, Proof: r.s.Proof()})
+			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 1, Proof: p.s.Proof()})
 			continue
 		}
 		if st1 == sat.Unknown {
@@ -370,7 +354,7 @@ func (r *residue) prove(f fault.OBD) ExactVerdict {
 		// models ARE the two-pattern (the frames are separate instances,
 		// so independent solutions compose).
 		v.Testable = true
-		v.Witness = &ExactWitness{Pair: p.String(), V1: r.inputs(), V2: v2}
+		v.Witness = &ExactWitness{Pair: pr.String(), V1: p.inputs(), V2: v2}
 		return v
 	}
 	if aborted {
@@ -401,11 +385,13 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 	if v.Aborted {
 		return nil
 	}
-	c, onCore, err := exactCore(c, []fault.OBD{f})
+	core, err := exactCore(c)
 	if err != nil {
 		return fail("", "combinational core extraction failed", err)
 	}
-	f = onCore[0]
+	if core != c {
+		c, f = core, onCore(core, f)
+	}
 	if v.Testable {
 		w := v.Witness
 		if w == nil {
@@ -490,17 +476,23 @@ type ExactReport struct {
 	Verdicts   []ExactVerdict `json:"verdicts"`
 }
 
-// ExactAnalyze decides the circuit's full OBD universe under the given
-// per-instance conflict budget (0 = DefaultExactBudget), over the
-// combinational core when the circuit has flip-flops.
+// ExactAnalyze decides the circuit's full OBD universe on one Prover
+// under the given per-instance conflict budget (0 = DefaultExactBudget),
+// over the combinational core when the circuit has flip-flops.
 func ExactAnalyze(c *logic.Circuit, budget int) *ExactReport {
 	if budget == 0 {
 		budget = DefaultExactBudget
 	}
 	faults, _ := fault.OBDUniverse(c)
-	r := &ExactReport{Faults: len(faults)}
-	r.Verdicts = ProveOBDExactList(c, faults, budget)
-	for _, v := range r.Verdicts {
+	return NewProver(c, budget).census(faults)
+}
+
+// census decides faults and counts the three outcomes.
+func (p *Prover) census(faults []fault.OBD) *ExactReport {
+	r := &ExactReport{Faults: len(faults), Verdicts: make([]ExactVerdict, len(faults))}
+	for i, f := range faults {
+		v := p.Prove(f)
+		r.Verdicts[i] = v
 		switch {
 		case v.Aborted:
 			r.Aborted++

@@ -462,8 +462,8 @@ func TestExactSequentialCore(t *testing.T) {
 		t.Fatal("Analyze's exact stanza differs from ProveOBDExactList on s27")
 	}
 	for i, f := range faults {
-		if one := netcheck.ProveOBDExactBudget(c, f, 0); !reflect.DeepEqual(one, verdicts[i]) {
-			t.Fatalf("%s: ProveOBDExactBudget %+v, list %+v", f, one, verdicts[i])
+		if one := netcheck.ProveOBDExact(c, f); !reflect.DeepEqual(one, verdicts[i]) {
+			t.Fatalf("%s: ProveOBDExact %+v, list %+v", f, one, verdicts[i])
 		}
 		if err := netcheck.VerifyExactVerdict(c, f, verdicts[i]); err != nil {
 			t.Fatalf("%s: %v", f, err)

@@ -8,15 +8,16 @@
 //     dangling primary inputs, and scan-chain findings on sequential
 //     netlists (floating D pins, unobservable state bits, self-looped
 //     flip-flops);
-//   - the exact OBD prover (ProveOBDExactList, exact.go), the one
-//     untestability census: seeded random pairs graded on the event
-//     engine find witnesses, and SAT decides the rest, so every verdict
-//     is testable with a witness, untestable with RUP proofs, or Aborted
-//     under its conflict budget;
+//   - the exact OBD prover (Prover, exact.go), the one untestability
+//     census: seeded random pairs graded on the event engine find
+//     witnesses, and SAT decides the rest, so every verdict is testable
+//     with a witness, untestable with RUP proofs, or Aborted under its
+//     conflict budget;
 //   - the constant-net lint (Constants, constant.go), decided by the
-//     census's same two passes: a net that takes both values on the
-//     simulated pairs is not constant, and SAT refutes the other value
-//     of each remaining net with a RUP proof (VerifyConstant);
+//     census's same two passes on the same Prover: a net that takes both
+//     values on the simulated pairs is not constant, and SAT refutes the
+//     other value of each remaining net with a RUP proof
+//     (VerifyConstant);
 //   - a SCOAP-backed hard-fault report (HardFaults) ranking the faults
 //     the census did not prove untestable by controllability/
 //     observability cost.
@@ -193,9 +194,9 @@ func Analyze(c *logic.Circuit, opt Options) *Report {
 		}
 		c = core
 	}
-	consts := Constants(c)
-	r.Constants = consts
-	for _, k := range consts {
+	p := NewProver(c, DefaultExactBudget)
+	r.Constants = p.constants()
+	for _, k := range r.Constants {
 		r.Diagnostics = append(r.Diagnostics, Diagnostic{
 			Code:     CodeConstantNet,
 			Severity: Warning,
@@ -208,7 +209,7 @@ func Analyze(c *logic.Circuit, opt Options) *Report {
 		return r
 	}
 	faults, _ := fault.OBDUniverse(c)
-	r.Exact = ExactAnalyze(c, 0)
+	r.Exact = p.census(faults)
 	r.Verdicts = make([]Verdict, len(faults))
 	var surviving []fault.OBD
 	for i, v := range r.Exact.Verdicts {
