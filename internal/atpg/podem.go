@@ -22,9 +22,42 @@ type podemView struct {
 	// SCOAP measures by net ID; nil when guidance is disabled.
 	cc0, cc1, co []int
 
-	scratch sync.Pool // *podemScratch sized to x
-	graders sync.Pool // *PairGrader over the circuit, for one-pair validation
-	provers sync.Pool // *netcheck.Prover over the circuit, for Prune and SATFallback
+	scratch sync.Pool  // *podemScratch sized to x
+	graders sync.Pool  // *PairGrader over the circuit, for one-pair validation
+	provers proverPool // over the circuit, for Prune and SATFallback
+}
+
+// proverPool is a run's free list of exact provers. Get takes an idle
+// prover or builds one with New, and Put returns one. Unlike a sync.Pool
+// it never drops an idle prover, so a run builds at most one prover per
+// goroutine proving at once, and none when nothing is proved.
+type proverPool struct {
+	New func() any // builds a *netcheck.Prover
+
+	mu    sync.Mutex
+	idle  []*netcheck.Prover
+	built int // provers New has built
+}
+
+// Get takes an idle prover, or builds one when none is idle.
+func (q *proverPool) Get() *netcheck.Prover {
+	q.mu.Lock()
+	if n := len(q.idle); n > 0 {
+		p := q.idle[n-1]
+		q.idle = q.idle[:n-1]
+		q.mu.Unlock()
+		return p
+	}
+	q.built++
+	q.mu.Unlock()
+	return q.New().(*netcheck.Prover)
+}
+
+// Put returns a prover to the idle list.
+func (q *proverPool) Put(p *netcheck.Prover) {
+	q.mu.Lock()
+	q.idle = append(q.idle, p)
+	q.mu.Unlock()
 }
 
 // newPodemView indexes c for PODEM and, unless opt disables it, computes
@@ -370,7 +403,7 @@ func (v *podemView) validates(f fault.OBD, tp *TwoPattern) bool {
 // prove decides f exactly under DefaultExactBudget, on a prover taken
 // from the view's pool. A prover whose call panicked is not put back.
 func (v *podemView) prove(f fault.OBD) netcheck.ExactVerdict {
-	p := v.provers.Get().(*netcheck.Prover)
+	p := v.provers.Get()
 	//obdcheck:allow paniccontract — the encoder's DFF panic is unreachable: GenerateOBDTest returns Errored and resumeTests a typed *SequentialCircuitError on DFF-bearing circuits before any view proves a fault
 	ev := p.Prove(f)
 	v.provers.Put(p)

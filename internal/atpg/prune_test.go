@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gobd/internal/cells"
@@ -159,6 +160,24 @@ func TestProverPoolDropsPanicked(t *testing.T) {
 	}
 	if p := pv.provers.Get(); p == built[0] {
 		t.Fatal("the prover whose call panicked went back into the pool")
+	}
+}
+
+// TestProverPoolSurvivesGC: a run keeps its idle provers across garbage
+// collections, so one worker proving fault after fault builds one
+// prover. Two collections between calls would empty a sync.Pool, whose
+// victim cache keeps an idle object through one.
+func TestProverPoolSurvivesGC(t *testing.T) {
+	c := cells.FullAdderSumLogic()
+	pv := newPodemView(c, DefaultOptions())
+	faults, _ := fault.OBDUniverse(c)
+	for _, f := range faults[:8] {
+		pv.prove(f)
+		runtime.GC()
+		runtime.GC()
+	}
+	if pv.provers.built != 1 {
+		t.Fatalf("%d provers built for 8 one-worker calls", pv.provers.built)
 	}
 }
 

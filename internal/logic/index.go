@@ -37,8 +37,6 @@ type Index struct {
 
 	// IsPO marks net IDs that appear in Outputs.
 	IsPO []bool
-
-	pos map[*Gate]int
 }
 
 // Index returns the circuit's evaluation index, building and caching it
@@ -51,7 +49,6 @@ func (c *Circuit) Index() *Index {
 	}
 	x := &Index{
 		NetIDs: make(map[string]int, len(c.Inputs)+len(c.Gates)),
-		pos:    make(map[*Gate]int, len(c.Gates)),
 	}
 	addNet := func(n string) int32 {
 		if id, ok := x.NetIDs[n]; ok {
@@ -74,7 +71,6 @@ func (c *Circuit) Index() *Index {
 	x.GateLevel = make([]int32, len(c.Gates))
 	x.Fanouts = make([][]int32, len(x.NetNames))
 	for gi, g := range c.Gates {
-		x.pos[g] = gi
 		ins := make([]int32, len(g.Inputs))
 		for k, in := range g.Inputs {
 			id := addNet(in) // validated: always a PI or a gate output, so already present
@@ -110,35 +106,20 @@ func (c *Circuit) cacheIndex(x *Index) *Index {
 // NumNets returns the number of distinct nets (PIs plus gate outputs).
 func (x *Index) NumNets() int { return len(x.NetNames) }
 
-// FanoutCone returns the transitive fanout cone of a net as a dense
-// mask over net IDs, including the net itself — the set of nets a value
-// change at the root can influence. CNF encoders (netcheck's exact
-// prover) use it to bound the faulty-copy duplication of a miter.
-func (x *Index) FanoutCone(net int32) []bool {
-	cone := make([]bool, x.NumNets())
-	cone[net] = true
-	stack := []int32{net}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, gi := range x.Fanouts[n] {
-			out := x.GateOut[gi]
-			if !cone[out] {
-				cone[out] = true
-				stack = append(stack, out)
-			}
-		}
-	}
-	return cone
-}
-
 // GatePos returns the slice position of g in Gates, or -1 when g is not a
 // gate of the indexed circuit (fault lists sometimes carry synthetic
 // gates that were never added to a circuit; callers must fall back to a
-// full evaluation for those).
+// full evaluation for those). A gate's Ordinal is its position whenever
+// the circuit's gate list is unchanged since it was added, so that is
+// the one place looked at first.
 func (x *Index) GatePos(g *Gate) int {
-	if p, ok := x.pos[g]; ok {
-		return p
+	if i := g.Ordinal; i >= 0 && i < len(x.Gates) && x.Gates[i] == g {
+		return i
+	}
+	for i, h := range x.Gates {
+		if h == g {
+			return i
+		}
 	}
 	return -1
 }

@@ -159,7 +159,12 @@ func BenchmarkAnalyze(b *testing.B) {
 // full adder. Lint, constants, the census (witnesses and proofs
 // included) and the hard-fault ranking all enter the digest. The .bench
 // files load through ParseBench, which leaves the circuit unnamed, so
-// the digests do not depend on how a file loader names circuits.
+// the digests do not depend on how a file loader names circuits. The
+// c432 and s27 pins moved when each exact instance came to be encoded
+// over the fanin closure of its nets only: the census's refutations
+// changed as in TestExactGoldenDigests (RUP lemmas renumbered, nothing
+// else), and the constants' proofs, each the empty clause alone, did
+// not change.
 func TestAnalyzeGoldenDigests(t *testing.T) {
 	load := func(path string) func() *logic.Circuit {
 		return func() *logic.Circuit {
@@ -181,8 +186,8 @@ func TestAnalyzeGoldenDigests(t *testing.T) {
 		bytes  int
 		sha256 string
 	}{
-		{"c432", load("../../testdata/c432.bench"), 511511, "ef1e06a31dc22feaea1b798e1a0ab1462dae93a33da72f65dab3de52073918af"},
-		{"s27", load("../../testdata/s27.bench"), 11810, "9cf0a9f27f43750f648b298c2edad63b95579cd59748344942b3f9be9bad3c7f"},
+		{"c432", load("../../testdata/c432.bench"), 511510, "43bb617b2ede3bebd8c5450dc92eb529d35efe7bfaf4fc36491b63c7215365ea"},
+		{"s27", load("../../testdata/s27.bench"), 11810, "93285f65a807c82cda9c3d2d36cc99fea21618d4bd0f1cf44e35232033dfe67d"},
 		{"full adder", cells.FullAdderSumLogic, 18614, "de8ce155ac5c50fc667d03bd0e5e099abf57159ab9f2d3bf3b1f0a6ff0e2b495"},
 	} {
 		b, err := json.Marshal(netcheck.Analyze(tc.c(), netcheck.Options{}))

@@ -3,14 +3,14 @@ package netcheck
 // Constant nets, decided by the exact census's two passes (exact.go).
 // Simulation goes first: a net that takes both values on the frame-1
 // words of the census's seeded pairs is not constant. Every other gate
-// output becomes one SAT instance, the good frame encoded once plus a
-// unit clause holding the net at the value simulation never saw, solved
-// on one reused proof-logging solver. UNSAT proves the net constant at
-// the seen value, with a RUP proof VerifyConstant checks against a CNF
-// it re-encodes from the circuit. The solver is complete, so every
-// constant net is found unless its instance exhausts the conflict
-// budget; such a net, like a satisfiable one, is not reported, so the
-// list holds proven constants only.
+// output becomes one SAT instance, the net's fanin closure plus a unit
+// clause holding the net at the value simulation never saw, solved on
+// the prover's one reused proof-logging solver. UNSAT proves the net
+// constant at the seen value, with a RUP proof VerifyConstant checks
+// against a CNF it re-encodes from the circuit. The solver is complete,
+// so every constant net is found unless its instance exhausts the
+// conflict budget; such a net, like a satisfiable one, is not reported,
+// so the list holds proven constants only.
 
 import (
 	"fmt"
@@ -20,8 +20,8 @@ import (
 )
 
 // Constant is a net proved to hold one value under every primary-input
-// assignment. Proof refutes the good frame with the net at the other
-// value.
+// assignment. Proof refutes the net's fanin closure with the net at the
+// other value.
 type Constant struct {
 	Net   string      `json:"net"`
 	Val   logic.Value `json:"val"`
@@ -52,8 +52,7 @@ func (p *Prover) constants() []Constant {
 			continue
 		}
 		val := logic.FromBool(p.seen[id] == 2)
-		p.newTail()
-		p.tail.demandUnits(p.x, p.vars, []sideVal{{net: g.Output, val: val.Not()}})
+		p.enc.frameUnits([]sideVal{{net: g.Output, val: val.Not()}})
 		if p.solve() == sat.Unsat {
 			out = append(out, Constant{Net: g.Output, Val: val, Proof: p.s.Proof()})
 		}
@@ -81,9 +80,10 @@ func (e *ConstantProofError) Error() string {
 func (e *ConstantProofError) Unwrap() error { return e.Err }
 
 // VerifyConstant checks a constant's proof from scratch: it re-encodes
-// the good frame plus the unit holding k.Net at the value opposite k.Val
-// from the circuit (over the combinational core when the circuit has
-// flip-flops, as Constants decides it) and runs sat.Check on that CNF.
+// the fanin closure of k.Net plus the unit holding it at the value
+// opposite k.Val from the circuit (over the combinational core when the
+// circuit has flip-flops, as Constants decides it) and runs sat.Check on
+// that CNF.
 // The returned error is always a *ConstantProofError.
 func VerifyConstant(c *logic.Circuit, k Constant) error {
 	fail := func(msg string, err error) error {
@@ -103,8 +103,9 @@ func VerifyConstant(c *logic.Circuit, k Constant) error {
 	if !k.Val.IsKnown() {
 		return fail(fmt.Sprintf("claimed value %v is not 0 or 1", k.Val), nil)
 	}
-	b, _ := frameUnits(x, []sideVal{{net: k.Net, val: k.Val.Not()}})
-	if err := sat.Check(b.nv, b.clauses, k.Proof); err != nil {
+	e := newConeCNF(x)
+	e.frameUnits([]sideVal{{net: k.Net, val: k.Val.Not()}})
+	if err := sat.Check(e.nv, e.clauses, k.Proof); err != nil {
 		return fail(fmt.Sprintf("refutation of %s=%v rejected", k.Net, k.Val.Not()), err)
 	}
 	return nil

@@ -4,12 +4,15 @@ package netcheck
 // Tseitin encoder over the dense logic.Index, plus the miter
 // constructions the exact prover (exact.go) solves —
 //
-//   - a per-frame circuit copy (encodeFrame), one Boolean variable per
-//     net, gate semantics as biconditional clauses;
-//   - the two-time-frame OBD instances: frame 1 justifies the pair's V1
-//     local values, frame 2 justifies V2 and propagates the forced-value
-//     fault effect (site held at its frame-1 value) to some primary
-//     output difference;
+//   - a whole-circuit copy (encodeFrame), one Boolean variable per net,
+//     gate semantics as biconditional clauses, for the CEC and
+//     fault-equivalence miters;
+//   - the exact prover's instances (coneCNF), each encoded over the
+//     fanin closure of its seed nets only: frame 1 justifies an
+//     excitation pair's V1 local values, frame 2 justifies V2 and
+//     propagates the forced-value fault effect (site held at its
+//     frame-1 value) to some primary-output difference, and a constant
+//     probe holds one net at one value;
 //   - a CEC miter for circuit-vs-circuit equivalence (shared inputs by
 //     name, XOR difference over matched outputs);
 //   - a detection-predicate encoding (encodeDetect) mirroring
@@ -20,6 +23,8 @@ package netcheck
 // verifier rebuild bit-identical CNFs from the same circuit.
 
 import (
+	"slices"
+
 	"gobd/internal/fault"
 	"gobd/internal/logic"
 	"gobd/internal/sat"
@@ -32,6 +37,7 @@ type cnfBuilder struct {
 	nv      int
 	clauses [][]sat.Lit
 	arena   []sat.Lit // every clause's literals, back to back
+	long    []sat.Lit // encodeGate's wide-clause buffer
 }
 
 func (b *cnfBuilder) newVar() sat.Lit {
@@ -49,11 +55,10 @@ func (b *cnfBuilder) add(lits ...sat.Lit) {
 	b.clauses = append(b.clauses, b.arena[start:len(b.arena):len(b.arena)])
 }
 
-// reset empties the builder, keeping its storage, for a CNF whose first
-// nv variables are already taken: a tail that follows a shared frame.
-// The clauses added before reset are overwritten by the next ones.
-func (b *cnfBuilder) reset(nv int) {
-	b.nv = nv
+// reset empties the builder, keeping its storage. The clauses added
+// before reset are overwritten by the next ones.
+func (b *cnfBuilder) reset() {
+	b.nv = 0
 	b.clauses = b.clauses[:0]
 	b.arena = b.arena[:0]
 }
@@ -65,24 +70,19 @@ func (b *cnfBuilder) run(budget int) (*sat.Solver, sat.Status) {
 	if budget > 0 {
 		s.MaxConflicts = int64(budget)
 	}
-	load(s, b.nv, b.clauses)
+	b.load(s)
 	return s, s.Solve()
 }
 
-// load resets s and feeds it a CNF over nv variables given as parts:
-// every variable first, then each part's clauses in order. A CNF split
-// into a shared prefix and a tail therefore loads exactly like the one
-// list holding both, with the same status, model and proof, and neither
-// part is copied on the way.
-func load(s *sat.Solver, nv int, parts ...[][]sat.Lit) {
+// load resets s and feeds it the CNF: every variable first, then the
+// clauses in order.
+func (b *cnfBuilder) load(s *sat.Solver) {
 	s.Reset()
-	for s.NumVars() < nv {
+	for s.NumVars() < b.nv {
 		s.NewVar()
 	}
-	for _, part := range parts {
-		for _, cl := range part {
-			s.AddClause(cl...)
-		}
+	for _, cl := range b.clauses {
+		s.AddClause(cl...)
 	}
 }
 
@@ -96,33 +96,37 @@ func (b *cnfBuilder) encodeGate(t logic.GateType, out sat.Lit, ins []sat.Lit) {
 		b.add(-out, -ins[0])
 		b.add(out, ins[0])
 	case logic.And:
-		long := make([]sat.Lit, 0, len(ins)+1)
+		long := b.long[:0]
 		for _, a := range ins {
 			b.add(-out, a)
 			long = append(long, -a)
 		}
-		b.add(append(long, out)...)
+		b.long = append(long, out)
+		b.add(b.long...)
 	case logic.Nand:
-		long := make([]sat.Lit, 0, len(ins)+1)
+		long := b.long[:0]
 		for _, a := range ins {
 			b.add(out, a)
 			long = append(long, -a)
 		}
-		b.add(append(long, -out)...)
+		b.long = append(long, -out)
+		b.add(b.long...)
 	case logic.Or:
-		long := make([]sat.Lit, 0, len(ins)+1)
+		long := b.long[:0]
 		for _, a := range ins {
 			b.add(out, -a)
 			long = append(long, a)
 		}
-		b.add(append(long, -out)...)
+		b.long = append(long, -out)
+		b.add(b.long...)
 	case logic.Nor:
-		long := make([]sat.Lit, 0, len(ins)+1)
+		long := b.long[:0]
 		for _, a := range ins {
 			b.add(-out, -a)
 			long = append(long, a)
 		}
-		b.add(append(long, out)...)
+		b.long = append(long, out)
+		b.add(b.long...)
 	case logic.Xor:
 		b.xorEquiv(out, ins[0], ins[1])
 	case logic.Xnor:
@@ -186,65 +190,222 @@ func (b *cnfBuilder) encodeFrameShared(x *logic.Index, pre []sat.Lit) []sat.Lit 
 	return vars
 }
 
-// encodeFaultyCone duplicates the fanout cone of siteID over fresh
-// variables, with the site itself bound to siteVar; nets outside the
-// cone read from the good copy. Returns the faulty-copy literals
-// (zero outside the cone).
-func (b *cnfBuilder) encodeFaultyCone(x *logic.Index, vars []sat.Lit, cone []bool, siteID int32, siteVar sat.Lit) []sat.Lit {
-	fvars := make([]sat.Lit, x.NumNets())
-	for id := range fvars {
-		if cone[id] {
-			fvars[id] = b.newVar()
+// coneCNF encodes the exact prover's instances, each over the fanin
+// closure of its seed nets: the seeds, the nets driving their gates, and
+// so on back to the primary inputs. Frame 2 seeds the site's fanout cone,
+// whose closure holds the site gate's inputs, the nets the pair's V2
+// demands; frame 1 seeds the nets V1 demands, and a constant probe its
+// net. Closure nets get variables in ascending net-ID order and closure
+// gates emit their clauses in gate order; the instance's own clauses
+// follow. The prover and both verifiers build every instance here, so a
+// proof is checked against the very CNF it refutes.
+//
+// The closure is fanin-closed, so an instance is satisfiable exactly
+// when the same instance over the whole circuit is: a whole-circuit model
+// restricted to the closure satisfies it, and a closure model extends to
+// the whole circuit by setting every other primary input (to 0, as SAT
+// witnesses do) and evaluating, which leaves every closure net's value as
+// it was. The per-net scratch is sized to the circuit once and cleared
+// net by net, so a warm coneCNF encodes an instance without allocating,
+// in time proportional to the instance.
+type coneCNF struct {
+	cnfBuilder
+	x      *logic.Index
+	driver []int32   // driving gate position by net ID; -1 for primary inputs
+	poRank []int32   // first position in OutputIDs by net ID; -1 off the outputs
+	good   []sat.Lit // literal by net ID; 0 outside the closure
+	faulty []sat.Lit // faulty-copy literal by net ID; 0 outside the cone
+	nets   []int32   // the closure, ascending once encoded
+	cone   []int32   // the site's fanout cone, ascending
+	gates  []int32   // gate positions, scratch
+	ins    []sat.Lit // one gate's input literals, scratch
+}
+
+// pending marks a net listed in the closure or the cone before it has a
+// variable.
+const pending sat.Lit = 1
+
+func newConeCNF(x *logic.Index) *coneCNF {
+	n := x.NumNets()
+	e := &coneCNF{x: x, driver: make([]int32, n), poRank: make([]int32, n),
+		good: make([]sat.Lit, n), faulty: make([]sat.Lit, n)}
+	for id := range e.driver {
+		e.driver[id], e.poRank[id] = -1, -1
+	}
+	for gi, out := range x.GateOut {
+		e.driver[out] = int32(gi)
+	}
+	for i, id := range x.OutputIDs {
+		if e.poRank[id] < 0 {
+			e.poRank[id] = int32(i)
 		}
 	}
-	fvars[siteID] = siteVar
-	for gi, g := range x.Gates {
-		out := x.GateOut[gi]
-		if out == siteID || !cone[out] {
-			continue
-		}
-		ins := make([]sat.Lit, len(x.GateIn[gi]))
-		for k, id := range x.GateIn[gi] {
-			if cone[id] {
-				ins[k] = fvars[id]
-			} else {
-				ins[k] = vars[id]
+	return e
+}
+
+// begin empties the instance: the builder, and the previous closure's
+// literals.
+func (e *coneCNF) begin() {
+	for _, id := range e.nets {
+		e.good[id] = 0
+	}
+	e.nets = e.nets[:0]
+	e.reset()
+}
+
+// seed adds net id to the closure.
+func (e *coneCNF) seed(id int32) {
+	if e.good[id] == 0 {
+		e.good[id] = pending
+		e.nets = append(e.nets, id)
+	}
+}
+
+// encodeClosure completes the closure of the seeds, gives its nets
+// variables in ascending net-ID order and emits its gates in gate order.
+func (e *coneCNF) encodeClosure() {
+	x := e.x
+	for i := 0; i < len(e.nets); i++ { // e.nets grows as the walk goes
+		if gi := e.driver[e.nets[i]]; gi >= 0 {
+			for _, in := range x.GateIn[gi] {
+				e.seed(in)
 			}
 		}
-		b.encodeGate(g.Type, fvars[out], ins)
 	}
-	return fvars
-}
-
-// conePOs returns the deduplicated primary-output net IDs inside the
-// cone, in OutputIDs order.
-func conePOs(x *logic.Index, cone []bool) []int32 {
-	seen := make([]bool, x.NumNets())
-	var out []int32
-	for _, id := range x.OutputIDs {
-		if cone[id] && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+	slices.Sort(e.nets)
+	e.gates = e.gates[:0]
+	for _, id := range e.nets {
+		e.good[id] = e.newVar()
+		if gi := e.driver[id]; gi >= 0 {
+			e.gates = append(e.gates, gi)
 		}
 	}
-	return out
+	slices.Sort(e.gates)
+	for _, gi := range e.gates {
+		ins := e.ins[:0]
+		for _, id := range x.GateIn[gi] {
+			ins = append(ins, e.good[id])
+		}
+		e.ins = ins
+		e.encodeGate(x.Gates[gi].Type, e.good[x.GateOut[gi]], ins)
+	}
 }
 
-// assertPODiff constrains some in-cone primary output to differ between
-// the good and faulty copies (one-directional indicators suffice for a
-// satisfiability miter). With no PO in the cone it emits the empty
-// clause — the fault effect is trivially unobservable.
-func (b *cnfBuilder) assertPODiff(x *logic.Index, vars, fvars []sat.Lit, cone []bool) {
-	pos := conePOs(x, cone)
-	ds := make([]sat.Lit, 0, len(pos))
-	for _, id := range pos {
-		d := b.newVar()
-		// d → (good ⊕ faulty)
-		b.add(-d, vars[id], fvars[id])
-		b.add(-d, -vars[id], -fvars[id])
+// frameUnits builds one frame over the closure of the demanded nets plus
+// each demanded value as a unit clause: the frame-1 justification
+// instance of an excitation pair (its V1 values on the site gate's
+// distinct input nets), and the probe that refutes a constant net's
+// other value.
+func (e *coneCNF) frameUnits(demands []sideVal) {
+	e.begin()
+	for _, d := range demands {
+		e.seed(int32(e.x.NetIDs[d.net]))
+	}
+	e.encodeClosure()
+	e.demandUnits(e.x, e.good, demands)
+}
+
+// obdFrame2 builds the frame-2 excitation-and-propagation instance over
+// the closure of the site's fanout cone: the good copy constrained to
+// the pair's V2 local values, a faulty cone copy with the site forced to
+// its frame-1 good value o1 (the paper's gross-delay forced-value fault
+// model), and a primary-output difference between the copies.
+func (e *coneCNF) obdFrame2(f fault.OBD, o1 logic.Value, demands []sideVal) {
+	e.begin()
+	site := int32(e.x.NetIDs[f.Gate.Output])
+	e.fanoutCone(site)
+	for _, id := range e.cone {
+		e.seed(id)
+	}
+	e.encodeClosure()
+	e.demandUnits(e.x, e.good, demands)
+	siteVar := e.newVar()
+	if o1 == logic.One {
+		e.add(siteVar)
+	} else {
+		e.add(-siteVar)
+	}
+	e.faultyCone(site, e.good, siteVar)
+	ds := e.long[:0]
+	for _, id := range e.conePOs() {
+		// d → (good ⊕ faulty): one-directional indicators suffice for a
+		// satisfiability miter. With no PO in the cone the clause of the
+		// ds is empty: the fault effect is trivially unobservable.
+		d := e.newVar()
+		e.add(-d, e.good[id], e.faulty[id])
+		e.add(-d, -e.good[id], -e.faulty[id])
 		ds = append(ds, d)
 	}
-	b.add(ds...)
+	e.long = ds
+	e.add(ds...)
+}
+
+// fanoutCone lists the transitive fanout cone of site, the site
+// included, in ascending net-ID order, marking each cone net in faulty.
+// It first clears the previous cone's marks and literals.
+func (e *coneCNF) fanoutCone(site int32) {
+	x := e.x
+	for _, id := range e.cone {
+		e.faulty[id] = 0
+	}
+	e.cone = append(e.cone[:0], site)
+	e.faulty[site] = pending
+	for i := 0; i < len(e.cone); i++ { // e.cone grows as the walk goes
+		for _, gi := range x.Fanouts[e.cone[i]] {
+			if out := x.GateOut[gi]; e.faulty[out] == 0 {
+				e.faulty[out] = pending
+				e.cone = append(e.cone, out)
+			}
+		}
+	}
+	slices.Sort(e.cone)
+}
+
+// faultyCone duplicates the fanout cone listed by fanoutCone over fresh
+// variables, in ascending net-ID order, with the site bound to siteVar;
+// cone gates read the faulty literal of cone nets and good[id] of every
+// other net. The site's own fresh variable goes unused, which keeps the
+// numbering of the encoding from before cone-sized instances.
+func (e *coneCNF) faultyCone(site int32, good []sat.Lit, siteVar sat.Lit) {
+	x := e.x
+	e.gates = e.gates[:0]
+	for _, id := range e.cone {
+		e.faulty[id] = e.newVar()
+		if id != site {
+			e.gates = append(e.gates, e.driver[id])
+		}
+	}
+	e.faulty[site] = siteVar
+	slices.Sort(e.gates)
+	for _, gi := range e.gates {
+		ins := e.ins[:0]
+		for _, id := range x.GateIn[gi] {
+			if e.faulty[id] != 0 {
+				ins = append(ins, e.faulty[id])
+			} else {
+				ins = append(ins, good[id])
+			}
+		}
+		e.ins = ins
+		e.encodeGate(x.Gates[gi].Type, e.faulty[x.GateOut[gi]], ins)
+	}
+}
+
+// conePOs returns the distinct primary-output nets of the cone in
+// OutputIDs order. It reuses e.gates, so it must follow faultyCone.
+func (e *coneCNF) conePOs() []int32 {
+	ranks := e.gates[:0]
+	for _, id := range e.cone {
+		if r := e.poRank[id]; r >= 0 {
+			ranks = append(ranks, r)
+		}
+	}
+	slices.Sort(ranks)
+	for i, r := range ranks {
+		ranks[i] = e.x.OutputIDs[r]
+	}
+	e.gates = ranks
+	return ranks
 }
 
 // sideVal is one value an excitation pair demands of a net.
@@ -277,53 +438,8 @@ func demandByNet(g *logic.Gate, pins []logic.Value) (out []sideVal, conflict boo
 // demandUnits asserts folded local net values as unit clauses.
 func (b *cnfBuilder) demandUnits(x *logic.Index, vars []sat.Lit, demands []sideVal) {
 	for _, d := range demands {
-		lit := vars[x.NetIDs[d.net]]
-		if d.val == logic.Zero {
-			lit = -lit
-		}
-		b.add(lit)
+		b.add(litOf(x, vars, d))
 	}
-}
-
-// frameUnits builds one circuit copy plus each demanded net value as a
-// unit clause: the frame-1 justification instance of an excitation pair
-// (its V1 values on the site gate's distinct input nets), and the probe
-// that refutes a constant net's other value.
-func frameUnits(x *logic.Index, demands []sideVal) (*cnfBuilder, []sat.Lit) {
-	b := &cnfBuilder{}
-	vars := b.encodeFrame(x)
-	b.demandUnits(x, vars, demands)
-	return b, vars
-}
-
-// obdFrame2 builds the frame-2 excitation-and-propagation instance: the
-// good copy constrained to the pair's V2 local values, a faulty cone
-// copy with the site forced to its frame-1 good value o1 (the paper's
-// gross-delay forced-value fault model), and a primary-output
-// difference between the copies.
-func obdFrame2(x *logic.Index, f fault.OBD, o1 logic.Value, demands []sideVal) (*cnfBuilder, []sat.Lit) {
-	b := &cnfBuilder{}
-	vars := b.encodeFrame(x)
-	b.frame2Tail(x, vars, f, o1, demands)
-	return b, vars
-}
-
-// frame2Tail emits everything obdFrame2 adds to the good frame vars:
-// the demand units, the forced site, the faulty cone and the primary
-// output difference. The exact prover emits it after a frame it encoded
-// once; obdFrame2 after a fresh one.
-func (b *cnfBuilder) frame2Tail(x *logic.Index, vars []sat.Lit, f fault.OBD, o1 logic.Value, demands []sideVal) {
-	b.demandUnits(x, vars, demands)
-	siteID := int32(x.NetIDs[f.Gate.Output])
-	cone := x.FanoutCone(siteID)
-	siteVar := b.newVar()
-	if o1 == logic.One {
-		b.add(siteVar)
-	} else {
-		b.add(-siteVar)
-	}
-	fvars := b.encodeFaultyCone(x, vars, cone, siteID, siteVar)
-	b.assertPODiff(x, vars, fvars, cone)
 }
 
 // litOf returns the literal asserting the demanded value of a net.
@@ -340,8 +456,9 @@ func litOf(x *logic.Index, vars []sat.Lit, d sideVal) sat.Lit {
 // atpg.DetectsOBD semantics: the site gate's local input pair matches
 // some excitation pair, and the faulty frame-2 copy (site held at its
 // frame-1 value) differs from the good copy at a primary output.
-func (b *cnfBuilder) encodeDetect(x *logic.Index, f fault.OBD, v1, v2 []sat.Lit) sat.Lit {
-	d := b.newVar()
+func (e *coneCNF) encodeDetect(f fault.OBD, v1, v2 []sat.Lit) sat.Lit {
+	x := e.x
+	d := e.newVar()
 	var sels []sat.Lit
 	for _, p := range f.ExcitationPairs() {
 		d2, c2 := demandByNet(f.Gate, p.V2)
@@ -349,55 +466,55 @@ func (b *cnfBuilder) encodeDetect(x *logic.Index, f fault.OBD, v1, v2 []sat.Lit)
 		if c1 || c2 {
 			continue // tied-net conflict: the pair matches no real assignment
 		}
-		sel := b.newVar()
+		sel := e.newVar()
 		neg := make([]sat.Lit, 0, len(d1)+len(d2)+1)
 		for _, dm := range d1 {
 			l := litOf(x, v1, dm)
-			b.add(-sel, l)
+			e.add(-sel, l)
 			neg = append(neg, -l)
 		}
 		for _, dm := range d2 {
 			l := litOf(x, v2, dm)
-			b.add(-sel, l)
+			e.add(-sel, l)
 			neg = append(neg, -l)
 		}
-		b.add(append(neg, sel)...)
+		e.add(append(neg, sel)...)
 		sels = append(sels, sel)
 	}
 	if len(sels) == 0 {
-		b.add(-d)
+		e.add(-d)
 		return d
 	}
-	exc := b.newVar()
+	exc := e.newVar()
 	long := make([]sat.Lit, 0, len(sels)+1)
 	for _, s := range sels {
-		b.add(-s, exc)
+		e.add(-s, exc)
 		long = append(long, s)
 	}
-	b.add(append(long, -exc)...)
+	e.add(append(long, -exc)...)
 
 	siteID := int32(x.NetIDs[f.Gate.Output])
-	cone := x.FanoutCone(siteID)
-	siteVar := b.newVar()
-	b.equiv(siteVar, v1[siteID]) // forced value: the frame-1 good value
-	fvars := b.encodeFaultyCone(x, v2, cone, siteID, siteVar)
+	e.fanoutCone(siteID)
+	siteVar := e.newVar()
+	e.equiv(siteVar, v1[siteID]) // forced value: the frame-1 good value
+	e.faultyCone(siteID, v2, siteVar)
 
-	diff := b.newVar()
-	pos := conePOs(x, cone)
+	diff := e.newVar()
+	pos := e.conePOs()
 	if len(pos) == 0 {
-		b.add(-diff)
+		e.add(-diff)
 	} else {
 		long = make([]sat.Lit, 0, len(pos)+1)
 		for _, id := range pos {
-			dp := b.newVar()
-			b.xorEquiv(dp, v2[id], fvars[id])
-			b.add(-dp, diff)
+			dp := e.newVar()
+			e.xorEquiv(dp, v2[id], e.faulty[id])
+			e.add(-dp, diff)
 			long = append(long, dp)
 		}
-		b.add(append(long, -diff)...)
+		e.add(append(long, -diff)...)
 	}
-	b.add(-d, exc)
-	b.add(-d, diff)
-	b.add(d, -exc, -diff)
+	e.add(-d, exc)
+	e.add(-d, diff)
+	e.add(d, -exc, -diff)
 	return d
 }

@@ -161,14 +161,14 @@ type OBDEquivVerdict struct {
 // of both faults over them, asserting the predicates differ.
 func obdEquivMiter(c *logic.Circuit, f1, f2 fault.OBD) (*cnfBuilder, []sat.Lit, []sat.Lit) {
 	x := c.Index()
-	bld := &cnfBuilder{}
+	bld := newConeCNF(x)
 	v1 := bld.encodeFrame(x)
 	v2 := bld.encodeFrame(x)
-	d1 := bld.encodeDetect(x, f1, v1, v2)
-	d2 := bld.encodeDetect(x, f2, v1, v2)
+	d1 := bld.encodeDetect(f1, v1, v2)
+	d2 := bld.encodeDetect(f2, v1, v2)
 	bld.add(d1, d2)
 	bld.add(-d1, -d2)
-	return bld, v1, v2
+	return &bld.cnfBuilder, v1, v2
 }
 
 // ProveOBDEquiv decides whether two OBD faults of one circuit are

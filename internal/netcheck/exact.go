@@ -127,17 +127,17 @@ const (
 // Prover is the exact prover over one circuit, built once and asked
 // fault by fault (Prove) or net by net (constants). It holds both passes:
 // the simPairs seeded pairs on one word-built event grader, with the
-// values every net took on their frame 1, and the good frame, encoded at
-// the first fault or net simulation leaves open, with one reused
-// proof-logging solver. Every instance loads as the frame's clauses
-// followed by its own tail (the demand units, plus the faulty cone and
-// the output difference in frame 2), the same CNF in the same order that
-// frameUnits and obdFrame2 build from scratch, so an answer does not
-// depend on what the prover answered before: verdicts and proofs are
-// those of a fresh solver per instance, and VerifyExactVerdict and
-// VerifyConstant re-encode exactly the formula each proof refutes. A
-// DFF-bearing circuit is decided over its combinational core (see
-// exactCore). A Prover is not safe for concurrent use.
+// values every net took on their frame 1, and one reused proof-logging
+// solver. Every instance simulation leaves open is encoded over the
+// fanin closure of the nets it constrains only (coneCNF, encode.go), in
+// the per-net scratch every instance reuses, and loaded into the solver
+// after a Reset. frameUnits and obdFrame2 are the one encoder, so an
+// answer does not depend on what the prover answered before: verdicts
+// and proofs are those of a fresh solver per instance, and
+// VerifyExactVerdict and VerifyConstant re-encode exactly the formula
+// each proof refutes. A DFF-bearing circuit is decided over its
+// combinational core (see exactCore). A Prover is not safe for
+// concurrent use.
 type Prover struct {
 	c   *logic.Circuit // the circuit decided; nil when it has no core
 	seq bool           // the circuit given has flip-flops, so faults move onto c
@@ -154,11 +154,14 @@ type Prover struct {
 	// share them.
 	shared map[int][2]map[string]logic.Value
 
-	frame cnfBuilder // the good frame
-	vars  []sat.Lit  // the frame's literal per net ID, nil until encoded
-	tail  cnfBuilder // the current instance's own clauses
-	s     sat.Solver
+	enc    *coneCNF // every instance's encoder, with its per-net scratch
+	s      sat.Solver
+	loaded loadStats
 }
+
+// loadStats counts the instances a prover loaded into its solver and
+// their variables and clauses, summed over instances.
+type loadStats struct{ instances, vars, clauses int }
 
 // NewProver grades the seeded pairs on c under a per-instance conflict
 // budget (0 = unlimited); instances that exceed it come back Aborted.
@@ -175,6 +178,7 @@ func NewProver(c *logic.Circuit, budget int) *Prover {
 		return p // unreachable for a circuit that validates; p decides nothing
 	}
 	p.c, p.seq, p.x = core, core != c, core.Index()
+	p.enc = newConeCNF(p.x)
 	nin := len(core.Inputs)
 	p.words = make([]uint64, 2*nin*((simPairs+63)/64))
 	rng := rand.New(rand.NewSource(simSeed))
@@ -267,26 +271,23 @@ func (p *Prover) witness(f fault.OBD) *ExactWitness {
 	return &ExactWitness{Pair: p.pg.LocalPair(f, i).String(), V1: w[0], V2: w[1]}
 }
 
-// newTail empties the instance tail, after encoding the good frame if
-// no instance has needed it yet.
-func (p *Prover) newTail() {
-	if p.vars == nil {
-		p.vars = p.frame.encodeFrame(p.x)
-	}
-	p.tail.reset(p.frame.nv)
-}
-
-// solve decides the frame plus the current tail.
+// solve loads the instance the encoder holds and decides it.
 func (p *Prover) solve() sat.Status {
-	load(&p.s, p.tail.nv, p.frame.clauses, p.tail.clauses)
+	p.enc.load(&p.s)
+	p.loaded.instances++
+	p.loaded.vars += p.enc.nv
+	p.loaded.clauses += len(p.enc.clauses)
 	return p.s.Solve()
 }
 
-// inputs reads the primary-input assignment out of the last model.
+// inputs reads the primary-input assignment out of the last model: the
+// model's value on each input of the instance's closure, and 0 on every
+// other input, which the instance leaves free.
 func (p *Prover) inputs() map[string]logic.Value {
 	out := make(map[string]logic.Value, len(p.x.InputIDs))
 	for _, id := range p.x.InputIDs {
-		out[p.x.NetNames[id]] = logic.FromBool(p.s.Value(int(p.vars[id])))
+		lit := p.enc.good[id]
+		out[p.x.NetNames[id]] = logic.FromBool(lit != 0 && p.s.Value(int(lit)))
 	}
 	return out
 }
@@ -327,8 +328,7 @@ func (p *Prover) Prove(f fault.OBD) ExactVerdict {
 			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 1, PinConflict: true})
 			continue
 		}
-		p.newTail()
-		p.tail.frame2Tail(p.x, p.vars, f, f.Gate.Eval(pr.V1), d2)
+		p.enc.obdFrame2(f, f.Gate.Eval(pr.V1), d2)
 		st2 := p.solve()
 		if st2 == sat.Unsat {
 			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 2, Proof: p.s.Proof()})
@@ -339,8 +339,7 @@ func (p *Prover) Prove(f fault.OBD) ExactVerdict {
 			continue
 		}
 		v2 := p.inputs() // before frame 1 reuses the solver
-		p.newTail()
-		p.tail.demandUnits(p.x, p.vars, d1)
+		p.enc.frameUnits(d1)
 		st1 := p.solve()
 		if st1 == sat.Unsat {
 			refs = append(refs, ExactRefutation{Pair: pr.String(), Frame: 1, Proof: p.s.Proof()})
@@ -423,7 +422,7 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 	if len(v.Pairs) != len(pairs) {
 		return fail("", fmt.Sprintf("untestable verdict refutes %d of %d excitation pairs", len(v.Pairs), len(pairs)), nil)
 	}
-	x := c.Index()
+	e := newConeCNF(c.Index())
 	for i, p := range pairs {
 		ref := v.Pairs[i]
 		if ref.Pair != p.String() {
@@ -450,16 +449,15 @@ func VerifyExactVerdict(c *logic.Circuit, f fault.OBD, v ExactVerdict) error {
 		if conf2 || conf1 {
 			return fail(p.String(), "pair has a pin conflict but the refutation claims a proof", nil)
 		}
-		var b *cnfBuilder
 		switch ref.Frame {
 		case 2:
-			b, _ = obdFrame2(x, f, f.Gate.Eval(p.V1), d2)
+			e.obdFrame2(f, f.Gate.Eval(p.V1), d2)
 		case 1:
-			b, _ = frameUnits(x, d1)
+			e.frameUnits(d1)
 		default:
 			return fail(p.String(), fmt.Sprintf("refutation names frame %d", ref.Frame), nil)
 		}
-		if err := sat.Check(b.nv, b.clauses, ref.Proof); err != nil {
+		if err := sat.Check(e.nv, e.clauses, ref.Proof); err != nil {
 			return fail(p.String(), fmt.Sprintf("frame-%d refutation rejected", ref.Frame), err)
 		}
 	}

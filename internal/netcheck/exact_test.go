@@ -475,7 +475,12 @@ func TestExactSequentialCore(t *testing.T) {
 // of the JSON of ProveOBDExactList over each circuit's OBD universe, in
 // OBDUniverse order. Verdicts, witnesses, refutations and proofs all
 // enter the digest, so a change to how instances are built or solved
-// that alters any of them fails here.
+// that alters any of them fails here. The c432 and s27 pins moved when
+// each instance came to be encoded over the fanin closure of its nets
+// only: the RUP lemmas in six verdicts (one on c432, five on the s27
+// core) name the closure's variable numbers, and nothing else changed.
+// The full adder's instances each close over the whole circuit, so its
+// pin did not move.
 func TestExactGoldenDigests(t *testing.T) {
 	load := func(path string) func() *logic.Circuit {
 		return func() *logic.Circuit {
@@ -492,8 +497,8 @@ func TestExactGoldenDigests(t *testing.T) {
 		bytes  int
 		sha256 string
 	}{
-		{"c432", load("../../testdata/c432.bench"), 446984, "ac82def8811cc74b8d9e6c11ce35c5f2af9f52419de452fc14a368afaa3e643a"},
-		{"s27 core", load("../../testdata/s27.bench"), 7735, "650f983e4843d5b830dd5798488ae7b453be3581d90d29a6a341d279edcde66f"},
+		{"c432", load("../../testdata/c432.bench"), 446983, "6d648ce1a292979c9150ffa8f1dd0f5e0f383486eb9f9c4cd4f59a9cb8640049"},
+		{"s27 core", load("../../testdata/s27.bench"), 7735, "c5ae5c871e7ac1c3d51ad5f26fa1940f526e572b540ffc8d26602b1cb2ac35d7"},
 		{"full adder", cells.FullAdderSumLogic, 10390, "1561e817b21bf68b5ec6bfbae308d0bbc9829bedc0e165fcc76cca1c591bec20"},
 	} {
 		c := tc.c()
@@ -505,5 +510,22 @@ func TestExactGoldenDigests(t *testing.T) {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.bytes || sum != tc.sha256 {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", tc.name, len(b), sum, tc.bytes, tc.sha256)
 		}
+	}
+}
+
+// TestCensusLoadsConeSizedInstances pins what the c432 census loads into
+// its solver: the instance count and the variables and clauses summed
+// over the instances. Each instance holds only the fanin closure of the
+// nets it constrains; whole-circuit frames loaded 7,788 variables and
+// 17,972 clauses over the same 39 instances.
+func TestCensusLoadsConeSizedInstances(t *testing.T) {
+	c, err := logic.ParseFile("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _ := fault.OBDUniverse(c)
+	n, vars, clauses := netcheck.CensusLoads(c, faults)
+	if n != 39 || vars != 836 || clauses != 1499 {
+		t.Errorf("c432 census loaded %d instances, %d variables and %d clauses; want 39, 836 and 1,499", n, vars, clauses)
 	}
 }

@@ -18,3 +18,12 @@ func ProveOBDExactListSATOnly(c *logic.Circuit, faults []fault.OBD, budget int) 
 func SimulationDetects(c *logic.Circuit, f fault.OBD) bool {
 	return NewProver(c, 0).witness(f) != nil
 }
+
+// CensusLoads decides faults on one prover and returns how many
+// instances it loaded into its solver, with their variables and clauses
+// summed over the instances.
+func CensusLoads(c *logic.Circuit, faults []fault.OBD) (instances, vars, clauses int) {
+	p := NewProver(c, DefaultExactBudget)
+	p.census(faults)
+	return p.loaded.instances, p.loaded.vars, p.loaded.clauses
+}
